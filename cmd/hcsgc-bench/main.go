@@ -7,10 +7,13 @@
 //	hcsgc-bench -exp all                 # everything (takes a while)
 //	hcsgc-bench -exp fig9 -runs 30 -scale 0.06 -configs 0,2,3,4
 //	hcsgc-bench -exp fig4 -csv out.csv   # machine-readable output
-//	hcsgc-bench -chaos -chaos-runs 20    # fault-injection soak, verifier on
-//	hcsgc-bench -kv-report -kv-json kv.json  # KV serving SLO A/B (cfg 3 vs 4)
+//	hcsgc-bench -report kv -out kv.json  # KV serving SLO A/B (cfg 3 vs 4)
+//	hcsgc-bench -report chaos -runs 20   # fault-injection soak, verifier on
+//	hcsgc-bench -list                    # experiments, reports, ablations
 //
 // Results are printed as text reports following the paper's §4.2 layout.
+// A report (-report NAME) prints its text form, writes its JSON to -out,
+// and exits non-zero when its validator rejects the result.
 package main
 
 import (
@@ -23,137 +26,84 @@ import (
 
 	"hcsgc"
 	"hcsgc/internal/bench"
+	"hcsgc/internal/telemetry"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id: table1-3, fig4-13, or 'all'")
-		runs    = flag.Int("runs", 0, "runs per configuration (0 = experiment default)")
+		exp     = flag.String("exp", "", "experiment id: table1-3, fig4-13, or 'all'; with -report, the workload of the locality, latency and chaos reports")
+		runs    = flag.Int("runs", 0, "runs per configuration (0 = experiment or report default)")
 		scale   = flag.Float64("scale", 0, "workload scale in (0,1]; 0 = default; 1 = paper scale")
-		seed    = flag.Int64("seed", 0, "base seed (0 = experiment default)")
-		configs = flag.String("configs", "", "comma-separated config ids (default: all 19)")
+		seed    = flag.Int64("seed", 0, "base seed; run r uses seed+r (0 = experiment or report default)")
+		configs = flag.String("configs", "", "comma-separated config ids (default: all 19; with -report, the report's base,test pair or single config)")
 		csvPath = flag.String("csv", "", "also write per-config CSV to this file")
 		quiet   = flag.Bool("q", false, "suppress progress output")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
+		list    = flag.Bool("list", false, "list experiment ids, reports and ablations, then exit")
 		ablate  = flag.String("ablate", "", "run an ablation sweep instead: "+strings.Join(bench.AblationNames(), ", "))
-		telAddr = flag.String("telemetry-addr", "", "serve live telemetry on this address (/metrics, /metrics.json, /trace, /gclog, /locality)")
+		telAddr = flag.String("telemetry-addr", "", "serve live telemetry on this address; / lists every endpoint ("+
+			strings.Join(telemetry.BuiltinPaths, " ")+" plus each attached plane's JSON snapshot)")
 
-		locMode  = flag.Bool("locality", false, "run a locality A/B report instead of the timing sweep (-configs picks base,test; default 0,16)")
-		locShift = flag.Uint("locality-shift", 4, "locality sampling knob: one burst per 2^shift accesses")
-		locJSON  = flag.String("locality-json", "", "also write the locality A/B report as JSON to this file")
-
-		latMode = flag.Bool("latency-report", false, "run a latency A/B report instead: pause/phase HDR percentiles, MMU ladder, barrier profile (-configs picks base,test; default 3,4)")
-		latJSON = flag.String("latency-json", "", "also write the latency A/B report as JSON to this file")
-
-		kvMode = flag.Bool("kv-report", false, "run the KV serving A/B report instead: open-loop load, per-phase request-latency percentiles and SLO curves (-configs picks base,test; default 3,4)")
-		kvJSON = flag.String("kv-json", "", "also write the KV serving A/B report as JSON to this file")
-
-		tailMode = flag.Bool("tail-report", false, "run the KV tail-attribution A/B report instead: every SLO-violating request classified by cause (stw-pause/alloc-stall/queued-behind-stall/service) and linked to the responsible GC cycle (-configs picks base,test; default 3,4)")
-		tailJSON = flag.String("tail-json", "", "also write the tail-attribution A/B report as JSON to this file")
-		tailSLO  = flag.Uint64("tail-slo", 0, "SLO threshold in virtual cycles for -tail-report (0 = default 1000000)")
-
-		overloadMode   = flag.Bool("overload-report", false, "run the overload-protection A/B instead: the KV workload past sustainable load (-overload-factor), unprotected vs with admission control + deadlines armed (-configs picks the single GC config; default 3)")
-		overloadJSON   = flag.String("overload-json", "", "also write the overload A/B report as JSON to this file")
-		overloadFactor = flag.Float64("overload-factor", 0, "arrival-rate multiplier past sustainable for -overload-report (0 = default 2)")
-
-		scaleSweep    = flag.Bool("scale-sweep", false, "run the many-core scaling sweep instead: fig4 + KV across -sweep-mutators with a fresh contention plane per run, USL fit (sigma = contention, kappa = crosstalk) and ranked contention tables")
-		sweepMutators = flag.String("sweep-mutators", "1,2,4,8,16,64", "comma-separated mutator counts for -scale-sweep")
-		scalingJSON   = flag.String("scaling-json", "", "also write the scaling sweep report as JSON to this file")
-
-		benchOut     = flag.String("bench-out", "", "write the normalized benchmark artifact (BENCH_<exp>.json shape) to this file; supported by -kv-report and -overload-report")
-		benchCompare = flag.String("bench-compare", "", "compare the run against this committed baseline artifact; >10% regressions print warnings without failing")
-
-		chaosMode = flag.Bool("chaos", false, "run a chaos soak instead: seeded fault schedules with the STW heap verifier on")
-		chaosSeed = flag.Int64("chaos-seed", 1, "base seed; run r uses seed chaos-seed+r (replay a failure with its printed seed and -chaos-runs 1)")
-		chaosRuns = flag.Int("chaos-runs", 0, "soak runs (0 = 20)")
-		chaosOut  = flag.String("chaos-out", "", "also write the soak report (and failed runs' gclogs) to this file")
+		report       = flag.String("report", "", "run a registered report instead of the timing sweep: "+strings.Join(reportNames(false), ", ")+" (see -list)")
+		out          = flag.String("out", "", "write the report's JSON (chaos: text report plus failed runs' gclogs) to this file")
+		mutators     = flag.String("sweep-mutators", "", "comma-separated mutator-count ladder for -report scaling (default 1,2,4,8,16,64)")
+		benchOut     = flag.String("bench-out", "", "write the report's normalized benchmark artifact (BENCH_<report>.json shape) to this file; reports: "+strings.Join(reportNames(true), ", "))
+		benchCompare = flag.String("bench-compare", "", "compare the report's benchmark artifact against this committed baseline; >10% regressions print warnings without failing")
 	)
 	flag.Parse()
 
+	fail := func(prefix string, err error) {
+		fmt.Fprintf(os.Stderr, "hcsgc-bench: %s%v\n", prefix, err)
+		os.Exit(1)
+	}
 	var sink *hcsgc.TelemetrySink
 	if *telAddr != "" {
 		sink = hcsgc.NewTelemetrySink()
 		srv, err := sink.Serve(*telAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: telemetry: %v\n", err)
-			os.Exit(1)
+			fail("telemetry: ", err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "hcsgc-bench: telemetry on http://%s (/metrics /metrics.json /trace /gclog)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "hcsgc-bench: telemetry on http://%s (%s; / lists every endpoint)\n",
+			srv.Addr(), strings.Join(sink.Paths(), " "))
+	}
+	progress := bench.Progress(nil)
+	if !*quiet {
+		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	}
 
-	if *list {
+	switch {
+	case *list:
 		writeList(os.Stdout)
 		return
-	}
-	if *ablate != "" {
-		progress := bench.Progress(nil)
-		if !*quiet {
-			progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-		}
+	case *ablate != "":
 		res, err := bench.RunAblation(*ablate, *runs, *scale, *seed, progress)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: %v\n", err)
-			os.Exit(1)
+			fail("", err)
 		}
 		bench.WriteAblation(os.Stdout, &res)
 		return
-	}
-	if *locMode {
-		if err := runLocality(*exp, *runs, *scale, *seed, *configs, *locShift, *locJSON, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: locality: %v\n", err)
-			os.Exit(1)
+	case *report != "":
+		opts := bench.ReportOptions{Exp: *exp, Runs: *runs, Scale: *scale, Seed: *seed, Telemetry: sink}
+		var err error
+		if *configs != "" {
+			if opts.Configs, err = parseConfigs(*configs); err != nil {
+				fail(*report+": ", err)
+			}
+		}
+		if *mutators != "" {
+			if opts.Mutators, err = parseConfigs(*mutators); err != nil {
+				fail(*report+": -sweep-mutators: ", err)
+			}
+		}
+		if err := runReport(*report, opts, *out, *benchOut, *benchCompare, progress); err != nil {
+			fail("", err)
 		}
 		return
-	}
-	if *latMode {
-		if err := runLatency(*exp, *runs, *scale, *seed, *configs, *latJSON, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: latency: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *kvMode {
-		if err := runKV(*runs, *scale, *seed, *configs, *kvJSON, *benchOut, *benchCompare, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: kv: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tailMode {
-		if err := runTail(*runs, *scale, *seed, *configs, *tailSLO, *tailJSON, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: tail: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleSweep {
-		if err := runScaleSweep(*sweepMutators, *scale, *seed, *scalingJSON, *benchOut, *benchCompare, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: scaling: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *overloadMode {
-		if err := runOverload(*runs, *scale, *seed, *configs, *overloadFactor, *overloadJSON, *benchOut, *benchCompare, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: overload: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *chaosMode {
-		failed, err := runChaosSoak(*exp, *chaosRuns, *scale, *chaosSeed, *chaosOut, *quiet)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "hcsgc-bench: -exp is required (see -list)")
+	case *benchOut != "" || *benchCompare != "" || *out != "" || *mutators != "":
+		fmt.Fprintln(os.Stderr, "hcsgc-bench: -out, -bench-out, -bench-compare and -sweep-mutators need -report")
+		os.Exit(2)
+	case *exp == "":
+		fmt.Fprintln(os.Stderr, "hcsgc-bench: -exp or -report is required (see -list)")
 		os.Exit(2)
 	}
 
@@ -165,23 +115,21 @@ func main() {
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: %v\n", err)
-			os.Exit(1)
+			fail("", err)
 		}
 		defer f.Close()
 		csvFile = f
 	}
 
 	for _, id := range ids {
-		if err := runOne(id, *runs, *scale, *seed, *configs, *quiet, csvFile, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: %s: %v\n", id, err)
-			os.Exit(1)
+		if err := runOne(id, *runs, *scale, *seed, *configs, progress, csvFile, sink); err != nil {
+			fail(id+": ", err)
 		}
 	}
 }
 
 // writeList enumerates the runnable experiment ids (id first, one-line
-// description after), then the report modes and ablation sweeps.
+// description after), then the registered reports and ablation sweeps.
 func writeList(w io.Writer) {
 	tableTitles := map[string]string{
 		"table1": "ZGC page size classes",
@@ -197,18 +145,13 @@ func writeList(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  %-8s %s\n", id, title)
 	}
-	fmt.Fprintln(w, "report modes:")
-	for _, m := range []struct{ flag, desc string }{
-		{"(default)", "per-config timing/cache/GC sweep over Table 2 (fig4-13)"},
-		{"-locality", "locality A/B: reuse distance, stream coverage, page entropy"},
-		{"-latency-report", "latency A/B: pause/phase HDR percentiles, MMU ladder, barrier profile"},
-		{"-kv-report", "KV serving A/B: open-loop request latency percentiles and SLO curves per traffic phase"},
-		{"-tail-report", "KV tail-attribution A/B: p99 violations by cause, linked to responsible GC cycles"},
-		{"-overload-report", "KV overload A/B: past-sustainable load, unprotected vs admission control + deadline shedding"},
-		{"-scale-sweep", "many-core scaling sweep: fig4 + KV across mutator counts, USL fit and ranked contention tables"},
-		{"-chaos", "chaos soak: seeded fault schedules with the STW heap verifier"},
-	} {
-		fmt.Fprintf(w, "  %-16s %s\n", m.flag, m.desc)
+	fmt.Fprintln(w, "reports (-report NAME [-out FILE]):")
+	for _, r := range bench.Reports() {
+		desc := r.Desc
+		if r.Artifact != nil {
+			desc += " [-bench-out]"
+		}
+		fmt.Fprintf(w, "  %-8s %s\n", r.Name, desc)
 	}
 	fmt.Fprintln(w, "ablation sweeps (-ablate):")
 	for _, a := range bench.AblationNames() {
@@ -216,7 +159,78 @@ func writeList(w io.Writer) {
 	}
 }
 
-func runOne(id string, runs int, scale float64, seed int64, configs string, quiet bool, csvFile *os.File, sink *hcsgc.TelemetrySink) error {
+// reportNames lists the registered reports; with artifactOnly, only those
+// that emit a benchmark artifact.
+func reportNames(artifactOnly bool) []string {
+	var names []string
+	for _, r := range bench.Reports() {
+		if !artifactOnly || r.Artifact != nil {
+			names = append(names, r.Name)
+		}
+	}
+	return names
+}
+
+// runReport runs a registered report: the text report goes to stdout, the
+// -out file and the benchmark artifact are written, the artifact is
+// compared against a baseline, and only then does the validator decide
+// the exit status — so a rejected run still leaves its artifacts behind.
+func runReport(name string, opts bench.ReportOptions, outPath, benchOut, benchCompare string, progress bench.Progress) error {
+	rep, ok := bench.LookupReport(name)
+	if !ok {
+		return fmt.Errorf("unknown report %q (reports: %s)", name, strings.Join(reportNames(false), ", "))
+	}
+	if rep.Artifact == nil && (benchOut != "" || benchCompare != "") {
+		return fmt.Errorf("-bench-out/-bench-compare: %s report has no benchmark artifact (reports with one: %s)",
+			name, strings.Join(reportNames(true), ", "))
+	}
+	res, err := rep.Run(opts, progress)
+	if err != nil {
+		return err
+	}
+	res.WriteText(os.Stdout)
+	if outPath != "" {
+		if err := writeFile(outPath, func(w io.Writer) error { return bench.WriteOut(w, res) }); err != nil {
+			return err
+		}
+	}
+	if rep.Artifact != nil {
+		art := rep.Artifact(res)
+		if benchOut != "" {
+			if err := writeFile(benchOut, func(w io.Writer) error { return bench.WriteArtifact(w, art) }); err != nil {
+				return err
+			}
+		}
+		if benchCompare != "" {
+			baseline, err := bench.ReadArtifactFile(benchCompare)
+			if err != nil {
+				return err
+			}
+			warns := bench.CompareArtifacts(baseline, art, 0.10)
+			for _, w := range warns {
+				fmt.Fprintf(os.Stderr, "hcsgc-bench: baseline warning: %s\n", w)
+			}
+			if len(warns) == 0 {
+				fmt.Fprintf(os.Stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", benchCompare)
+			}
+		}
+	}
+	return res.Validate()
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func runOne(id string, runs int, scale float64, seed int64, configs string, progress bench.Progress, csvFile *os.File, sink *hcsgc.TelemetrySink) error {
 	switch id {
 	case "table1":
 		bench.WriteTable1(os.Stdout)
@@ -254,12 +268,6 @@ func runOne(id string, runs int, scale float64, seed int64, configs string, quie
 		spec.Configs = ids
 	}
 	spec.Telemetry = sink
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
 	res, err := bench.Run(spec, progress)
 	if err != nil {
 		return err
@@ -269,385 +277,6 @@ func runOne(id string, runs int, scale float64, seed int64, configs string, quie
 		bench.WriteCSV(csvFile, &res)
 	}
 	return nil
-}
-
-// runLocality runs the -locality A/B mode: the experiment's workload under
-// a baseline and a test configuration with the sampling profiler attached,
-// printing the side-by-side report and optionally writing the JSON artifact.
-// With -telemetry-addr, the in-flight run's profiler serves on /locality.
-func runLocality(exp string, runs int, scale float64, seed int64, configs string, shift uint, jsonPath string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	if exp == "" || exp == "all" {
-		exp = "fig4"
-	}
-	base, test := 0, 16 // ZGC baseline vs H+CP+cc1+lazy (COLDPAGE+LAZYRELOCATE)
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-locality needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunLocalityAB(exp, runs, scale, seed, base, test, shift, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateLocalityAB(ab); err != nil {
-		return err
-	}
-	bench.WriteLocalityReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteLocalityJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runLatency runs the -latency-report A/B mode: the experiment's workload
-// under a baseline and a test configuration with a fresh latency tracker
-// per run, printing the side-by-side pause/phase/MMU/barrier report and
-// optionally writing the JSON artifact. With -telemetry-addr, in-flight
-// runs serve live on /mmu and /flightrecorder.
-func runLatency(exp string, runs int, scale float64, seed int64, configs string, jsonPath string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	if exp == "" || exp == "all" {
-		exp = "fig4"
-	}
-	base, test := 3, 4 // RelocateAllSmallPages vs +LazyRelocate (the shift story)
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-latency-report needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunLatencyAB(exp, runs, scale, seed, base, test, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateLatencyAB(ab); err != nil {
-		return err
-	}
-	bench.WriteLatencyReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteLatencyJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runKV runs the -kv-report A/B mode: the KV server workload under a
-// baseline and a test configuration with a shared per-side metrics
-// accumulator, printing the per-phase percentile and SLO-curve report and
-// optionally writing the JSON artifact. With -telemetry-addr, in-flight
-// runs export hcsgc_kv_* metrics and serve the merged report on /kv.
-func runKV(runs int, scale float64, seed int64, configs string, jsonPath, benchOut, benchCompare string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	base, test := 3, 4 // RelocateAllSmallPages vs +LazyRelocate
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-kv-report needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunKVAB(runs, scale, seed, base, test, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateKVAB(ab); err != nil {
-		return err
-	}
-	bench.WriteKVReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteKVJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" || benchCompare != "" {
-		art := bench.KVArtifact(ab)
-		if benchOut != "" {
-			f, err := os.Create(benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteArtifact(f, art); err != nil {
-				return err
-			}
-		}
-		if benchCompare != "" {
-			baseline, err := bench.ReadArtifactFile(benchCompare)
-			if err != nil {
-				return err
-			}
-			warns := bench.CompareArtifacts(baseline, art, 0.10)
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: baseline warning: %s\n", w)
-			}
-			if len(warns) == 0 {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", benchCompare)
-			}
-		}
-	}
-	return nil
-}
-
-// runTail runs the -tail-report mode: the KV serving A/B with request-
-// level tail attribution armed, printing the per-config "p99 violations
-// by cause" breakdown and optionally writing the JSON artifact CI uploads.
-func runTail(runs int, scale float64, seed int64, configs string, slo uint64, jsonPath string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	base, test := 3, 4 // RelocateAllSmallPages vs +LazyRelocate
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-tail-report needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunTailAB(runs, scale, seed, base, test, slo, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateTailAB(ab); err != nil {
-		return err
-	}
-	bench.WriteTailReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteTailJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runOverload runs the -overload-report mode: the KV server workload at a
-// load factor past the sustainable arrival rate, once unprotected and once
-// with the overload-protection plane armed, under one GC configuration.
-// The report leads with the goodput/shed/tail comparison; the validator
-// enforces the brownout acceptance gates. With -telemetry-addr, in-flight
-// runs export hcsgc_overload_* metrics and serve the accounting on
-// /overload.
-func runOverload(runs int, scale float64, seed int64, configs string, factor float64, jsonPath, benchOut, benchCompare string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	cfgID := 3 // RelocateAllSmallPages: the serving-path default
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 1 {
-			return fmt.Errorf("-overload-report needs exactly one config id, got %d", len(ids))
-		}
-		cfgID = ids[0]
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunOverloadAB(runs, scale, seed, cfgID, factor, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateOverloadAB(ab); err != nil {
-		return err
-	}
-	bench.WriteOverloadReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteOverloadJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" || benchCompare != "" {
-		art := bench.OverloadArtifact(ab)
-		if benchOut != "" {
-			f, err := os.Create(benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteArtifact(f, art); err != nil {
-				return err
-			}
-		}
-		if benchCompare != "" {
-			baseline, err := bench.ReadArtifactFile(benchCompare)
-			if err != nil {
-				return err
-			}
-			warns := bench.CompareArtifacts(baseline, art, 0.10)
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: baseline warning: %s\n", w)
-			}
-			if len(warns) == 0 {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", benchCompare)
-			}
-		}
-	}
-	return nil
-}
-
-// runScaleSweep runs the -scale-sweep mode: the scaling workloads across
-// the -sweep-mutators ladder with a fresh contention plane per run,
-// printing the throughput/speedup ladder, USL coefficients and ranked
-// contention tables, and optionally writing the JSON report and the
-// normalized BENCH_scaling.json artifact CI uploads.
-func runScaleSweep(mutators string, scale float64, seed int64, jsonPath, benchOut, benchCompare string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	var muts []int
-	if mutators != "" {
-		ids, err := parseConfigs(mutators)
-		if err != nil {
-			return fmt.Errorf("-sweep-mutators: %w", err)
-		}
-		muts = ids
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	sweep, err := bench.RunScaleSweep(muts, scale, seed, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateScaleSweep(sweep); err != nil {
-		return err
-	}
-	bench.WriteScalingReport(os.Stdout, sweep)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteScalingJSON(f, sweep); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" || benchCompare != "" {
-		art := bench.ScalingArtifact(sweep)
-		if benchOut != "" {
-			f, err := os.Create(benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteArtifact(f, art); err != nil {
-				return err
-			}
-		}
-		if benchCompare != "" {
-			baseline, err := bench.ReadArtifactFile(benchCompare)
-			if err != nil {
-				return err
-			}
-			warns := bench.CompareArtifacts(baseline, art, 0.10)
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: baseline warning: %s\n", w)
-			}
-			if len(warns) == 0 {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", benchCompare)
-			}
-		}
-	}
-	return nil
-}
-
-// runChaosSoak runs the -chaos mode: a seed sweep of randomized fault
-// schedules with the STW heap verifier attached to every run. The report
-// leads each failure with the reproducer command line; gclogs of failed
-// runs go to the -chaos-out artifact. Returns failed=true when any seed
-// hit a verifier violation or an unexpected error (graceful OOM is not a
-// failure).
-func runChaosSoak(exp string, runs int, scale float64, baseSeed int64, outPath string, quiet bool) (failed bool, err error) {
-	if exp == "" || exp == "all" {
-		exp = "fig4"
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	res, err := bench.RunChaos(exp, runs, scale, baseSeed, progress)
-	if err != nil {
-		return false, err
-	}
-	bench.WriteChaosReport(os.Stdout, res)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return false, err
-		}
-		defer f.Close()
-		bench.WriteChaosReport(f, res)
-		for _, r := range res.Runs {
-			if r.GCLog != "" {
-				fmt.Fprintf(f, "\n=== gclog seed %d ===\n%s", r.Seed, r.GCLog)
-			}
-			if r.FlightDump != "" {
-				fmt.Fprintf(f, "\n=== flight recorder seed %d ===\n%s", r.Seed, r.FlightDump)
-			}
-		}
-	}
-	return res.Failures > 0, nil
 }
 
 func parseConfigs(s string) ([]int, error) {

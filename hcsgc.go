@@ -413,22 +413,18 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	opts.Telemetry.SetGCLog(col.WriteGCLog)
 	if opts.Locality != nil && opts.Telemetry != nil {
 		opts.Locality.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
-		prof := opts.Locality
-		opts.Telemetry.SetLocality(func() any { return prof.Report() })
+		opts.Telemetry.Publish("locality", func() any { return opts.Locality.Report() })
 	}
 	if lat != nil && opts.Telemetry != nil {
 		lat.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
-		tracker := lat
-		opts.Telemetry.SetMMU(func() any { return tracker.MMUSnapshot() })
+		opts.Telemetry.Publish("mmu", func() any { return lat.MMUSnapshot() })
 		opts.Telemetry.SetFlightRecorder(func(w io.Writer) error {
-			return tracker.WriteFlight(w, "on-demand")
-		})
-		opts.Telemetry.SetFlightRearm(tracker.Rearm)
+			return lat.WriteFlight(w, "on-demand")
+		}, lat.Rearm)
 	}
 	if sig != nil && opts.Telemetry != nil {
 		sig.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
-		plane := sig
-		opts.Telemetry.SetSignals(func() any { return plane.Snapshot() })
+		opts.Telemetry.Publish("signals", func() any { return sig.Snapshot() })
 	}
 	if ctn != nil && opts.Telemetry != nil {
 		// The registry and recorder cannot adopt contention.Mutex (import
@@ -437,8 +433,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		ctn.AddSource("telemetry.registryMu", func() (uint64, uint64) { return reg.MuStats() })
 		ctn.AddSource("telemetry.recorderShards", func() (uint64, uint64) { return rec.MuStats() })
 		ctn.BindTelemetry(reg, rec)
-		cplane := ctn
-		opts.Telemetry.SetContention(func() any { return cplane.Snapshot() })
+		opts.Telemetry.Publish("contention", func() any { return ctn.Snapshot() })
 	}
 	mach := opts.Machine
 	if mach.Cores == 0 {

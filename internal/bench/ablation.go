@@ -49,9 +49,6 @@ func AblationNames() []string {
 
 // RunAblation executes one ablation by name.
 func RunAblation(name string, runs int, scale float64, seed int64, progress Progress) (AblationResult, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	if runs <= 0 {
 		runs = 5
 	}
@@ -115,7 +112,7 @@ func ablatePrefetch(runs int, scale float64, seed int64, progress Progress) Abla
 		})
 		p.Label = fmt.Sprintf("depth=%d", depth)
 		res.Points = append(res.Points, p)
-		progress("prefetch %s: %.4fs", p.Label, p.Boot.Mean)
+		progress.logf("prefetch %s: %.4fs", p.Label, p.Boot.Mean)
 	}
 	return res
 }
@@ -132,7 +129,7 @@ func ablateECThreshold(runs int, scale float64, seed int64, progress Progress) A
 		})
 		p.Label = fmt.Sprintf("threshold=%.2f", th)
 		res.Points = append(res.Points, p)
-		progress("ecthreshold %s: %.4fs", p.Label, p.Boot.Mean)
+		progress.logf("ecthreshold %s: %.4fs", p.Label, p.Boot.Mean)
 	}
 	return res
 }
@@ -149,7 +146,7 @@ func ablateTinyPages(runs int, scale float64, seed int64, progress Progress) Abl
 		p := sample(runs, scale, seed, workloads.RunConfig{Knobs: k})
 		p.Label = fmt.Sprintf("tiny=%v", tiny)
 		res.Points = append(res.Points, p)
-		progress("tinypages %s: %.4fs", p.Label, p.Boot.Mean)
+		progress.logf("tinypages %s: %.4fs", p.Label, p.Boot.Mean)
 	}
 	return res
 }
@@ -174,7 +171,7 @@ func ablateAutoTune(runs int, scale float64, seed int64, progress Progress) Abla
 		p := sample(runs, scale, seed, workloads.RunConfig{Knobs: pt.knobs})
 		p.Label = pt.label
 		res.Points = append(res.Points, p)
-		progress("autotune %s: %.4fs", p.Label, p.Boot.Mean)
+		progress.logf("autotune %s: %.4fs", p.Label, p.Boot.Mean)
 	}
 	return res
 }
@@ -191,7 +188,7 @@ func ablateGCWorkers(runs int, scale float64, seed int64, progress Progress) Abl
 		})
 		p.Label = fmt.Sprintf("workers=%d", workers)
 		res.Points = append(res.Points, p)
-		progress("gcworkers %s: %.4fs", p.Label, p.Boot.Mean)
+		progress.logf("gcworkers %s: %.4fs", p.Label, p.Boot.Mean)
 	}
 	return res
 }

@@ -78,11 +78,7 @@ func kvPhaseDist(r kvstore.Report, phase string) kvstore.Dist {
 }
 
 // WriteArtifact renders a as indented JSON.
-func WriteArtifact(w io.Writer, a Artifact) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a)
-}
+func WriteArtifact(w io.Writer, a Artifact) error { return writeJSON(w, a) }
 
 // ReadArtifactFile loads a committed baseline artifact.
 func ReadArtifactFile(path string) (Artifact, error) {

@@ -84,15 +84,9 @@ type ChaosResult struct {
 // stops early: every seed is driven to a verdict so a sweep reports all
 // failures, not just the first.
 func RunChaos(expID string, runs int, scale float64, baseSeed int64, progress Progress) (ChaosResult, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get(expID)
 	if err != nil {
 		return ChaosResult{}, err
-	}
-	if runs <= 0 {
-		runs = 20
 	}
 	// The KV soak arms the overload plane: the randomized schedules force
 	// sheds, deadline expiries, and emergency GC on top of the usual
@@ -121,12 +115,12 @@ func RunChaos(expID string, runs int, scale float64, baseSeed int64, progress Pr
 		switch {
 		case run.Failed():
 			res.Failures++
-			progress("chaos %s seed %d: FAIL (%d violations, err=%v)", expID, seed, len(run.Violations), run.Err)
+			progress.logf("chaos %s seed %d: FAIL (%d violations, err=%v)", expID, seed, len(run.Violations), run.Err)
 		case run.OOM:
 			res.OOMs++
-			progress("chaos %s seed %d: oom (graceful, %d verifier passes)", expID, seed, run.VerifierRuns)
+			progress.logf("chaos %s seed %d: oom (graceful, %d verifier passes)", expID, seed, run.VerifierRuns)
 		default:
-			progress("chaos %s seed %d: ok (%d verifier passes)", expID, seed, run.VerifierRuns)
+			progress.logf("chaos %s seed %d: ok (%d verifier passes)", expID, seed, run.VerifierRuns)
 		}
 	}
 	return res, nil
@@ -236,9 +230,33 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 	return run
 }
 
-// WriteChaosReport renders a soak result, leading with the reproducer
-// command line for every failed seed.
-func WriteChaosReport(out io.Writer, res ChaosResult) {
+// Validate fails the soak when any seed hit a verifier violation or an
+// unexpected error (graceful OOM is not a failure).
+func (res ChaosResult) Validate() error {
+	if res.Failures > 0 {
+		return fmt.Errorf("chaos: %d of %d seeds failed", res.Failures, len(res.Runs))
+	}
+	return nil
+}
+
+// WriteOut renders the -out artifact: the text report followed by each
+// failed run's gclog and each failed or OOM run's flight-recorder dump.
+func (res ChaosResult) WriteOut(w io.Writer) error {
+	res.WriteText(w)
+	for _, r := range res.Runs {
+		if r.GCLog != "" {
+			fmt.Fprintf(w, "\n=== gclog seed %d ===\n%s", r.Seed, r.GCLog)
+		}
+		if r.FlightDump != "" {
+			fmt.Fprintf(w, "\n=== flight recorder seed %d ===\n%s", r.Seed, r.FlightDump)
+		}
+	}
+	return nil
+}
+
+// WriteText renders a soak result, leading with the reproducer command
+// line for every failed seed.
+func (res ChaosResult) WriteText(out io.Writer) {
 	fmt.Fprintf(out, "chaos soak: %s (%s): %d runs, %d failures, %d graceful OOMs\n",
 		res.Experiment, res.Workload, len(res.Runs), res.Failures, res.OOMs)
 	var sheds, ofails uint64
@@ -254,7 +272,7 @@ func WriteChaosReport(out io.Writer, res ChaosResult) {
 			continue
 		}
 		fmt.Fprintf(out, "\nFAILED seed %d (config %d, faults: %s)\n", r.Seed, r.Config, r.Faults)
-		fmt.Fprintf(out, "reproduce: hcsgc-bench -chaos -exp %s -chaos-seed %d -chaos-runs 1\n", res.Experiment, r.Seed)
+		fmt.Fprintf(out, "reproduce: hcsgc-bench -report chaos -exp %s -seed %d -runs 1\n", res.Experiment, r.Seed)
 		if r.Err != nil {
 			fmt.Fprintf(out, "error: %v\n", r.Err)
 		}

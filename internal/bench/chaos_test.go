@@ -30,7 +30,7 @@ func TestChaosSoakShort(t *testing.T) {
 		t.Fatalf("failures = %d", res.Failures)
 	}
 	var b strings.Builder
-	WriteChaosReport(&b, res)
+	res.WriteText(&b)
 	if !strings.Contains(b.String(), "3 runs, 0 failures") {
 		t.Fatalf("report: %s", b.String())
 	}
@@ -63,7 +63,7 @@ func TestChaosKVSoakShort(t *testing.T) {
 		t.Fatal("no seed in the KV soak recorded a shed or per-request fast-fail; the overload plane never engaged")
 	}
 	var b strings.Builder
-	WriteChaosReport(&b, res)
+	res.WriteText(&b)
 	if !strings.Contains(b.String(), "overload plane:") {
 		t.Fatalf("report missing the overload-plane line:\n%s", b.String())
 	}
@@ -86,16 +86,16 @@ func TestChaosReportCarriesReproducer(t *testing.T) {
 		}},
 	}
 	var b strings.Builder
-	WriteChaosReport(&b, res)
+	res.WriteText(&b)
 	out := b.String()
-	for _, want := range []string{"FAILED seed 42", "-chaos-seed 42", "stale-ref"} {
+	for _, want := range []string{"FAILED seed 42", "-report chaos -exp fig4 -seed 42 -runs 1", "stale-ref"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestChaosReportDeterministic pins the vtimepure fix in WriteChaosReport:
+// TestChaosReportDeterministic pins the vtimepure fix in ChaosResult.WriteText:
 // the fired-counts block used to iterate the Fired map directly, so the
 // same failed run printed its reproduction block in a different order on
 // every render. Identical inputs must produce identical report bytes.
@@ -118,10 +118,10 @@ func TestChaosReportDeterministic(t *testing.T) {
 		}},
 	}
 	var first strings.Builder
-	WriteChaosReport(&first, res)
+	res.WriteText(&first)
 	for i := 0; i < 20; i++ {
 		var again strings.Builder
-		WriteChaosReport(&again, res)
+		res.WriteText(&again)
 		if again.String() != first.String() {
 			t.Fatalf("report bytes differ between renders:\n--- first\n%s\n--- again\n%s",
 				first.String(), again.String())

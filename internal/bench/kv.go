@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -12,17 +11,16 @@ import (
 )
 
 // KVSide is one configuration's aggregated serving measurement in a KV
-// A/B comparison: every run's request-latency histograms merged slot-wise
-// into one accumulator, so the side's quantiles are exact over the union
-// of all runs' requests.
+// A/B comparison: every run's request-latency histograms and tail
+// attribution merged slot-wise into one accumulator each, so the side's
+// quantiles are exact over the union of all runs' requests.
 type KVSide struct {
-	Config int    `json:"config"`
-	Knobs  string `json:"knobs"`
-	Runs   int    `json:"runs"`
+	ABSide
 	// Report is the merged serving report (per-phase dists + SLO curves).
 	Report kvstore.Report `json:"report"`
-	// MeanExecSeconds is the mean simulated execution time, for context.
-	MeanExecSeconds float64 `json:"mean_exec_seconds"`
+	// Tail is the merged attribution report: SLO violations by cause, the
+	// attributed fraction, and the top-K slow-request exemplars.
+	Tail hcsgc.TailReport `json:"tail"`
 	// GCCycles counts collections across all runs.
 	GCCycles int `json:"gc_cycles"`
 }
@@ -31,71 +29,43 @@ type KVSide struct {
 // on the KV server workload. The default pair (3 vs 4) isolates
 // LAZYRELOCATE: eager relocation concentrates cost in GC-adjacent
 // windows, lazy spreads it across mutator barriers — the report shows
-// which phases of traffic pay for each choice.
+// which phases of traffic pay for each choice, and, with every
+// SLO-violating request classified (stw-pause / alloc-stall /
+// queued-behind-stall / service) and linked to its responsible GC cycle,
+// which GC mechanism makes them pay.
 type KVAB struct {
 	Runs  int     `json:"runs"`
 	Scale float64 `json:"scale"`
 	Seed  int64   `json:"seed"`
+	// SLOThresholdCycles is the violation threshold both sides classify
+	// against.
+	SLOThresholdCycles uint64 `json:"slo_threshold_cycles"`
 
 	Base KVSide `json:"base"`
 	Test KVSide `json:"test"`
 }
 
 // RunKVAB runs the KV server workload under two configurations, runs
-// times each with per-run seeds, merging every run's request metrics into
-// the side's accumulator.
-func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
-	w, err := workloads.Get("kv")
+// times each with per-run seeds, merging every run's request metrics and
+// tail attribution into the side's accumulators. slo is the violation
+// threshold in cycles (0 = the attributor's default, 1,000,000).
+func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo uint64, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
+	a, err := newABRun("kv", "kv", runs, scale, seed, sink, progress)
 	if err != nil {
 		return nil, err
 	}
-	if runs <= 0 {
-		// The KV tail is dominated by rare, large stall/pause convoys;
-		// single runs are a coin flip over where they land. Ten runs
-		// (~60ms each at default scale) aggregate enough GC events that
-		// the per-phase p999 ordering is stable across invocations.
-		runs = 10
-	}
-	if scale <= 0 {
-		scale = 1 // the workload's default benchmarking scale
-	}
 	ab := &KVAB{Runs: runs, Scale: scale, Seed: seed}
-
-	checks := map[int]uint64{}
-	runSide := func(cfgID int) (KVSide, error) {
-		knobs := KnobsFor(cfgID)
-		side := KVSide{Config: cfgID, Knobs: knobs.String(), Runs: runs}
+	runSide := func(cfgID int) (side KVSide, err error) {
 		acc := kvstore.NewMetrics()
-		var exec float64
-		for run := 0; run < runs; run++ {
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      seed + int64(run),
-				Scale:     scale,
-				KV:        acc,
-				Telemetry: sink,
-			})
-			if err != nil {
-				return side, fmt.Errorf("kv: config %d run %d: %w", cfgID, run, err)
-			}
-			if prev, seen := checks[run]; seen && out.Check != prev {
-				return side, fmt.Errorf(
-					"kv: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-					cfgID, run, out.Check, prev)
-			}
-			checks[run] = out.Check
-			exec += out.ExecSeconds
-			side.GCCycles += out.GCCycleCount
-			progress("kv config %-2d run %d/%d", cfgID, run+1, runs)
-		}
-		side.MeanExecSeconds = exec / float64(runs)
+		tail := hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: slo})
+		side.ABSide, side.GCCycles, err = a.side(cfgID, func(cfg *workloads.RunConfig) {
+			cfg.KV, cfg.Tail = acc, tail
+		})
 		side.Report = acc.Report(nil)
-		return side, nil
+		side.Tail = tail.Report()
+		ab.SLOThresholdCycles = side.Tail.SLOThresholdCycles
+		return side, err
 	}
-
 	if ab.Base, err = runSide(baseCfg); err != nil {
 		return nil, err
 	}
@@ -105,12 +75,16 @@ func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hc
 	return ab, nil
 }
 
-// ValidateKVAB checks a KV A/B report's well-formedness: both sides pass
-// the serving report's structural validation, every phase recorded
-// requests, and the two sides served identical request counts per phase
-// (the schedule is open-loop and seeded, so any divergence is a harness
-// bug). Used by the CI smoke step.
-func ValidateKVAB(ab *KVAB) error {
+// Validate checks the report: both sides pass the serving and attribution
+// structural validations, every phase recorded requests, the two sides
+// served identical request counts per phase (the schedule is open-loop
+// and seeded, so any divergence is a harness bug), each attributor
+// observed every request its serving report counted, the comparison saw
+// SLO violations at all (a run with none proves nothing), and at least
+// 90% of each side's violations carry a concrete cause and responsible
+// cycle id.
+func (ab *KVAB) Validate() error {
+	var violations uint64
 	for _, s := range []struct {
 		name string
 		side *KVSide
@@ -118,10 +92,24 @@ func ValidateKVAB(ab *KVAB) error {
 		if err := s.side.Report.Validate(); err != nil {
 			return fmt.Errorf("kv: %s side: %w", s.name, err)
 		}
+		if err := s.side.Tail.Validate(); err != nil {
+			return fmt.Errorf("kv: %s side: %w", s.name, err)
+		}
+		var served uint64
 		for _, p := range s.side.Report.Phases {
 			if p.Dist.Count == 0 {
 				return fmt.Errorf("kv: %s side phase %q recorded no requests", s.name, p.Phase)
 			}
+			served += p.Dist.Count
+		}
+		if s.side.Tail.Requests != served {
+			return fmt.Errorf("kv: %s side attributor observed %d requests, serving report counted %d",
+				s.name, s.side.Tail.Requests, served)
+		}
+		violations += s.side.Tail.Violations
+		if s.side.Tail.Violations > 0 && s.side.Tail.AttributedFraction < 0.9 {
+			return fmt.Errorf("kv: %s side attributed only %.1f%% of %d violations (want >= 90%%)",
+				s.name, 100*s.side.Tail.AttributedFraction, s.side.Tail.Violations)
 		}
 	}
 	for i := range ab.Base.Report.Phases {
@@ -132,13 +120,18 @@ func ValidateKVAB(ab *KVAB) error {
 				ab.Base.Report.Phases[i].Phase, bc, tc)
 		}
 	}
+	if violations == 0 {
+		return fmt.Errorf("kv: no SLO violations on either side — threshold %d too high for this workload",
+			ab.SLOThresholdCycles)
+	}
 	return nil
 }
 
-// WriteKVReport renders the A/B comparison as aligned text tables: the
+// WriteText renders the A/B comparison as aligned text tables: the
 // per-phase latency distributions, each phase's SLO curve side by side,
-// and the tail-latency headline.
-func WriteKVReport(w io.Writer, ab *KVAB) {
+// the tail-latency headline, and each side's violations by cause with
+// its slowest exemplars.
+func (ab *KVAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== KV serving A/B: open-loop load, %d runs, scale %g ===\n",
 		ab.Runs, ab.Scale)
 	fmt.Fprintf(w, "base: cfg %d (%s)   test: cfg %d (%s)\n",
@@ -183,6 +176,38 @@ func WriteKVReport(w io.Writer, ab *KVAB) {
 		hitRate(b), hitRate(t), b.SessionsRetired)
 	fmt.Fprintf(w, "exec seconds (mean): base %.4f, test %.4f; GC cycles: base %d, test %d\n",
 		ab.Base.MeanExecSeconds, ab.Test.MeanExecSeconds, ab.Base.GCCycles, ab.Test.GCCycles)
+
+	fmt.Fprintf(w, "\ntail attribution, SLO %d cycles:\n", ab.SLOThresholdCycles)
+	for _, s := range []struct {
+		name string
+		side *KVSide
+	}{{"base", &ab.Base}, {"test", &ab.Test}} {
+		t := s.side.Tail
+		fmt.Fprintf(w, "%s (cfg %d): %d requests, %d violations (%.3f%%), %.1f%% attributed to a concrete cause+cycle\n",
+			s.name, s.side.Config, t.Requests, t.Violations,
+			pct(t.Violations, t.Requests), 100*t.AttributedFraction)
+		fmt.Fprintf(w, "  p99 violations by cause:\n")
+		fmt.Fprintf(w, "  %-22s %9s %8s %12s %12s %12s\n", "cause", "count", "share", "p50", "p99", "max")
+		for _, c := range t.ByCause {
+			if c.Count == 0 {
+				continue
+			}
+			fmt.Fprintf(w, "  %-22s %9d %7.1f%% %12.0f %12.0f %12.0f\n",
+				c.Cause, c.Count, 100*c.Fraction, c.Dist.P50, c.Dist.P99, c.Dist.Max)
+		}
+		fmt.Fprintf(w, "  slowest exemplars (latency, cause, responsible cycle):\n")
+		for _, ex := range t.TopK[:min(3, len(t.TopK))] {
+			fmt.Fprintf(w, "  seq %-8d %-6s %-8s %12d cycles  %-20s cycle %d\n",
+				ex.Seq, ex.Op, ex.Phase, ex.LatencyCycles, ex.Cause, ex.Cycle)
+		}
+	}
+}
+
+func pct(n, d uint64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(d)
 }
 
 func hitRate(r kvstore.Report) float64 {
@@ -190,12 +215,4 @@ func hitRate(r kvstore.Report) float64 {
 		return 0
 	}
 	return float64(r.Hits) / float64(r.Hits+r.Misses)
-}
-
-// WriteKVJSON renders the full A/B result as indented JSON, the artifact
-// format the CI job uploads.
-func WriteKVJSON(w io.Writer, ab *KVAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -14,14 +13,10 @@ import (
 // A/B comparison: per-run trackers merged exactly (HDR slot addition,
 // worst-case MMU per window).
 type LatencySide struct {
-	Config int    `json:"config"`
-	Knobs  string `json:"knobs"`
-	Runs   int    `json:"runs"`
+	ABSide
 	// Report is the aggregate across runs; per-run flight records are not
 	// merged (each run's recorder stands alone).
 	Report *hcsgc.LatencyReport `json:"report"`
-	// MeanExecSeconds is the mean simulated execution time, for context.
-	MeanExecSeconds float64 `json:"mean_exec_seconds"`
 	// FlightCycles counts GC cycles recorded across all runs.
 	FlightCycles uint64 `json:"flight_cycles"`
 }
@@ -48,59 +43,28 @@ type LatencyAB struct {
 // 3 (RelocateAllSmallPages) vs 4 (+LazyRelocate), the pair that shows
 // relocation shifting into mutator barriers.
 func RunLatencyAB(expID string, runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*LatencyAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
-	w, err := workloads.Get(expID)
+	a, err := newABRun("latency "+expID, expID, runs, scale, seed, sink, progress)
 	if err != nil {
 		return nil, err
 	}
-	if runs <= 0 {
-		runs = 3
-	}
 	ab := &LatencyAB{
 		Experiment: expID,
-		Workload:   w.Name,
+		Workload:   a.w.Name,
 		Runs:       runs,
 		Scale:      scale,
 		Seed:       seed,
 	}
-
-	checks := map[int]uint64{}
-	runSide := func(cfgID int) (LatencySide, error) {
-		knobs := KnobsFor(cfgID)
-		side := LatencySide{Config: cfgID, Knobs: knobs.String(), Runs: runs}
-		var exec float64
+	runSide := func(cfgID int) (side LatencySide, err error) {
 		var trackers []*hcsgc.LatencyTracker
-		for run := 0; run < runs; run++ {
+		side.ABSide, _, err = a.side(cfgID, func(cfg *workloads.RunConfig) {
 			// Discard automatic dumps: a bench OOM already fails the run.
-			tracker := hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: io.Discard})
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      seed + int64(run),
-				Scale:     scale,
-				Latency:   tracker,
-				Telemetry: sink,
-			})
-			if err != nil {
-				return side, fmt.Errorf("latency %s: config %d run %d: %w", expID, cfgID, run, err)
-			}
-			if prev, seen := checks[run]; seen && out.Check != prev {
-				return side, fmt.Errorf(
-					"latency %s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-					expID, cfgID, run, out.Check, prev)
-			}
-			checks[run] = out.Check
-			exec += out.ExecSeconds
-			trackers = append(trackers, tracker)
-			progress("%s latency config %-2d run %d/%d", expID, cfgID, run+1, runs)
-		}
-		side.MeanExecSeconds = exec / float64(runs)
+			cfg.Latency = hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: io.Discard})
+			trackers = append(trackers, cfg.Latency)
+		})
 		side.Report = latency.Aggregate(trackers)
 		side.FlightCycles = side.Report.Cycles
-		return side, nil
+		return side, err
 	}
-
 	if ab.Base, err = runSide(baseCfg); err != nil {
 		return nil, err
 	}
@@ -110,10 +74,10 @@ func RunLatencyAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 	return ab, nil
 }
 
-// ValidateLatencyAB sanity-checks a report's well-formedness: recorded
-// pauses on both sides, MMU values inside [0,1] at every window, and at
-// least one recorded GC cycle. Used by the CI smoke step.
-func ValidateLatencyAB(ab *LatencyAB) error {
+// Validate sanity-checks the report's well-formedness: recorded pauses on
+// both sides, MMU values inside [0,1] at every window, and at least one
+// recorded GC cycle.
+func (ab *LatencyAB) Validate() error {
 	check := func(name string, s *LatencySide) error {
 		r := s.Report
 		if r == nil {
@@ -148,10 +112,10 @@ var (
 	latencyBarrierOrder = []string{"mark", "relocate", "remap", "hotmap_record"}
 )
 
-// WriteLatencyReport renders the A/B comparison as aligned text tables:
-// per-phase percentiles, the MMU ladder, and the barrier profile with the
+// WriteText renders the A/B comparison as aligned text tables: per-phase
+// percentiles, the MMU ladder, and the barrier profile with the
 // relocation-shift headline.
-func WriteLatencyReport(w io.Writer, ab *LatencyAB) {
+func (ab *LatencyAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== latency A/B: %s (%s), %d runs, scale %g ===\n",
 		ab.Experiment, ab.Workload, ab.Runs, ab.Scale)
 	fmt.Fprintf(w, "base: cfg %d (%s)   test: cfg %d (%s)\n",
@@ -205,12 +169,4 @@ func WriteLatencyReport(w io.Writer, ab *LatencyAB) {
 	fmt.Fprintf(w, "exec seconds (mean): base %.4f, test %.4f; cycles: base %d, test %d; flight dumps: base %d, test %d\n",
 		ab.Base.MeanExecSeconds, ab.Test.MeanExecSeconds,
 		ab.Base.FlightCycles, ab.Test.FlightCycles, b.FlightDumps, t.FlightDumps)
-}
-
-// WriteLatencyJSON renders the full A/B result as indented JSON, the
-// artifact format the CI job uploads.
-func WriteLatencyJSON(w io.Writer, ab *LatencyAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
 }

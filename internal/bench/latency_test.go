@@ -13,7 +13,7 @@ func TestRunLatencyAB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateLatencyAB(ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -36,7 +36,7 @@ func TestRunLatencyAB(t *testing.T) {
 	}
 
 	var txt strings.Builder
-	WriteLatencyReport(&txt, ab)
+	ab.WriteText(&txt)
 	for _, want := range []string{
 		"latency A/B: fig4", "pause stw1", "phase mark", "MMU(1000)",
 		"hotmap_record", "relocation shift",
@@ -47,7 +47,7 @@ func TestRunLatencyAB(t *testing.T) {
 	}
 
 	var js strings.Builder
-	if err := WriteLatencyJSON(&js, ab); err != nil {
+	if err := writeJSON(&js, ab); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"pauses"`, `"mmu"`, `"barrier"`, `"alloc_stall"`} {
@@ -65,7 +65,7 @@ func TestValidateLatencyABRejectsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateLatencyAB(ab); err == nil {
+	if err := ab.Validate(); err == nil {
 		t.Fatal("scale 0.005 never collects; validation must reject the empty report")
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -13,12 +12,8 @@ import (
 // LocalitySide is one configuration's aggregated locality measurement in
 // an A/B comparison.
 type LocalitySide struct {
-	Config int                 `json:"config"`
-	Knobs  string              `json:"knobs"`
-	Runs   int                 `json:"runs"`
-	Stats  hcsgc.LocalityStats `json:"stats"`
-	// MeanExecSeconds is the mean simulated execution time, for context.
-	MeanExecSeconds float64 `json:"mean_exec_seconds"`
+	ABSide
+	Stats hcsgc.LocalityStats `json:"stats"`
 	// Reports holds each run's full profiler snapshot.
 	Reports []*hcsgc.LocalityReport `json:"reports,omitempty"`
 }
@@ -42,26 +37,23 @@ type LocalityAB struct {
 	Test LocalitySide `json:"test"`
 }
 
+// localityShift is the profiler's sampling knob: one burst per
+// 2^localityShift accesses.
+const localityShift = 4
+
 // RunLocalityAB runs the experiment's workload under two configurations
 // with a fresh locality profiler per run and aggregates the reports.
-// baseCfg/testCfg are Table 2 config ids (0 = original ZGC). shift is the
-// power-of-two sampling knob (accesses per burst period). A non-nil sink
-// serves each in-flight run's profiler live on /locality.
-func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, testCfg int, shift uint, sink *hcsgc.TelemetrySink, progress Progress) (*LocalityAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
-	w, err := workloads.Get(expID)
+// baseCfg/testCfg are Table 2 config ids (0 = original ZGC). A non-nil
+// sink serves each in-flight run's profiler live on /locality.
+func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*LocalityAB, error) {
+	a, err := newABRun("locality "+expID, expID, runs, scale, seed, sink, progress)
 	if err != nil {
 		return nil, err
 	}
-	if runs <= 0 {
-		runs = 3
-	}
-	profCfg := locality.Config{SamplePeriodShift: shift}.WithDefaults()
+	profCfg := locality.Config{SamplePeriodShift: localityShift}.WithDefaults()
 	ab := &LocalityAB{
 		Experiment:   expID,
-		Workload:     w.Name,
+		Workload:     a.w.Name,
 		Runs:         runs,
 		Scale:        scale,
 		Seed:         seed,
@@ -69,39 +61,18 @@ func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, t
 		BurstLen:     profCfg.BurstLen,
 		Window:       profCfg.Window,
 	}
-
-	checks := map[int]uint64{}
-	runSide := func(cfgID int) (LocalitySide, error) {
-		knobs := KnobsFor(cfgID)
-		side := LocalitySide{Config: cfgID, Knobs: knobs.String(), Runs: runs}
-		var exec float64
-		for run := 0; run < runs; run++ {
-			prof := locality.New(locality.Config{SamplePeriodShift: shift})
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      seed + int64(run),
-				Scale:     scale,
-				Locality:  prof,
-				Telemetry: sink,
-			})
-			if err != nil {
-				return side, fmt.Errorf("locality %s: config %d run %d: %w", expID, cfgID, run, err)
-			}
-			if prev, seen := checks[run]; seen && out.Check != prev {
-				return side, fmt.Errorf(
-					"locality %s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-					expID, cfgID, run, out.Check, prev)
-			}
-			checks[run] = out.Check
-			exec += out.ExecSeconds
+	runSide := func(cfgID int) (side LocalitySide, err error) {
+		var profs []*locality.Profiler
+		side.ABSide, _, err = a.side(cfgID, func(cfg *workloads.RunConfig) {
+			cfg.Locality = locality.New(locality.Config{SamplePeriodShift: localityShift})
+			profs = append(profs, cfg.Locality)
+		})
+		for _, prof := range profs {
 			side.Reports = append(side.Reports, prof.Report())
-			progress("%s locality config %-2d run %d/%d", expID, cfgID, run+1, runs)
 		}
-		side.MeanExecSeconds = exec / float64(runs)
 		side.Stats = locality.Aggregate(side.Reports)
-		return side, nil
+		return side, err
 	}
-
 	if ab.Base, err = runSide(baseCfg); err != nil {
 		return nil, err
 	}
@@ -111,10 +82,9 @@ func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, t
 	return ab, nil
 }
 
-// ValidateLocalityAB sanity-checks a report's well-formedness: non-empty
-// reuse histograms on both sides and purity within [0,1]. Used by the CI
-// smoke step.
-func ValidateLocalityAB(ab *LocalityAB) error {
+// Validate sanity-checks the report's well-formedness: non-empty reuse
+// histograms on both sides and purity within [0,1].
+func (ab *LocalityAB) Validate() error {
 	check := func(name string, s *hcsgc.LocalityStats) error {
 		if s.SampledAccesses == 0 {
 			return fmt.Errorf("locality: %s side sampled no accesses", name)
@@ -140,8 +110,8 @@ func ValidateLocalityAB(ab *LocalityAB) error {
 	return check("test", &ab.Test.Stats)
 }
 
-// WriteLocalityReport renders the A/B comparison as an aligned text table.
-func WriteLocalityReport(w io.Writer, ab *LocalityAB) {
+// WriteText renders the A/B comparison as an aligned text table.
+func (ab *LocalityAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== locality A/B: %s (%s), %d runs, scale %g ===\n",
 		ab.Experiment, ab.Workload, ab.Runs, ab.Scale)
 	fmt.Fprintf(w, "profiler: 1 burst of %d accesses per %d, reuse window %d\n\n",
@@ -172,12 +142,4 @@ func WriteLocalityReport(w io.Writer, ab *LocalityAB) {
 	row("segregation purity", b.SegPurity, t.SegPurity, "%.4f")
 	fmt.Fprintf(w, "\nsampled accesses: base %d, test %d\n",
 		b.SampledAccesses, t.SampledAccesses)
-}
-
-// WriteLocalityJSON renders the full A/B result (including per-run
-// reports) as indented JSON, the artifact format the CI job uploads.
-func WriteLocalityJSON(w io.Writer, ab *LocalityAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -66,34 +65,26 @@ type OverloadAB struct {
 	Protected   OverloadSide `json:"protected"`
 }
 
-// RunOverloadAB runs the KV server workload at loadFactor times the
-// sustainable arrival rate under one GC configuration, runs times per
+// overloadLoadFactor is the acceptance point: twice the sustainable
+// arrival rate.
+const overloadLoadFactor = 2
+
+// RunOverloadAB runs the KV server workload at overloadLoadFactor times
+// the sustainable arrival rate under one GC configuration, runs times per
 // side with per-run seeds: once unprotected, once with the overload plane
 // armed. The load generator's schedule is identical across sides (the
 // deadline knob consumes no RNG draws), so the comparison isolates the
 // protection plane.
-func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor float64, sink *hcsgc.TelemetrySink, progress Progress) (*OverloadAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
+func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, sink *hcsgc.TelemetrySink, progress Progress) (*OverloadAB, error) {
 	w, err := workloads.Get("kv")
 	if err != nil {
 		return nil, err
-	}
-	if runs <= 0 {
-		runs = 6 // same rationale as RunKVAB: convoy formation is bursty, single runs are a coin flip
-	}
-	if scale <= 0 {
-		scale = 1
-	}
-	if loadFactor <= 0 {
-		loadFactor = 2 // the acceptance point: twice the sustainable rate
 	}
 	pol := overload.Policy{Seed: seed}.WithDefaults()
 	knobs := KnobsFor(cfgID)
 	ab := &OverloadAB{
 		Runs: runs, Scale: scale, Seed: seed, Config: cfgID,
-		Knobs: knobs.String(), LoadFactor: loadFactor,
+		Knobs: knobs.String(), LoadFactor: overloadLoadFactor,
 		SLOThresholdCycles: pol.GoodputSLOCycles,
 		DeadlineCycles:     pol.DeadlineCycles,
 	}
@@ -114,7 +105,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 				Knobs:         knobs,
 				Seed:          seed + int64(run),
 				Scale:         scale,
-				LoadFactor:    loadFactor,
+				LoadFactor:    overloadLoadFactor,
 				KV:            acc,
 				OverloadStats: ost,
 				Tail:          tail,
@@ -130,13 +121,13 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 				// it rather than fail the whole comparison — the validator
 				// decides whether aborts disqualify the result.
 				side.OOMAborts++
-				progress("overload %-11s run %d/%d ABORTED: %v", name, run+1, runs, err)
+				progress.logf("overload %-11s run %d/%d ABORTED: %v", name, run+1, runs, err)
 				continue
 			}
 			finished++
 			exec += out.ExecSeconds
 			side.GCCycles += out.GCCycleCount
-			progress("overload %-11s run %d/%d", name, run+1, runs)
+			progress.logf("overload %-11s run %d/%d", name, run+1, runs)
 		}
 		if finished > 0 {
 			side.MeanExecSeconds = exec / float64(finished)
@@ -156,7 +147,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 	return ab, nil
 }
 
-// ValidateOverloadAB is the acceptance gate for the overload comparison:
+// Validate is the acceptance gate for the overload comparison:
 //
 //   - structural validity of every per-side report, and no OOM-aborted
 //     runs on either side (heap exhaustion must degrade, not abort);
@@ -168,7 +159,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 //   - the protection bought something: the protected side's
 //     successful-request p999 is below the unprotected side's, and its
 //     goodput is no worse.
-func ValidateOverloadAB(ab *OverloadAB) error {
+func (ab *OverloadAB) Validate() error {
 	for _, s := range []struct {
 		name string
 		side *OverloadSide
@@ -224,10 +215,10 @@ func ValidateOverloadAB(ab *OverloadAB) error {
 	return nil
 }
 
-// WriteOverloadReport renders the comparison as aligned text: the goodput
-// headline, the outcome breakdown per side, and the successful-request
-// tails the protection bounded.
-func WriteOverloadReport(w io.Writer, ab *OverloadAB) {
+// WriteText renders the comparison as aligned text: the goodput headline,
+// the outcome breakdown per side, and the successful-request tails the
+// protection bounded.
+func (ab *OverloadAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== KV overload A/B: %d runs, scale %g, load factor %g, cfg %d (%s) ===\n",
 		ab.Runs, ab.Scale, ab.LoadFactor, ab.Config, ab.Knobs)
 	fmt.Fprintf(w, "SLO %d cycles, per-request deadline %d cycles\n\n",
@@ -274,14 +265,6 @@ func WriteOverloadReport(w io.Writer, ab *OverloadAB) {
 		}
 		fmt.Fprintf(w, "  %-22s %9d (%5.1f%%)\n", c.Cause, c.Count, 100*c.Fraction)
 	}
-}
-
-// WriteOverloadJSON renders the full overload A/B result as indented JSON,
-// the artifact format the CI job uploads as overload-report.json.
-func WriteOverloadJSON(w io.Writer, ab *OverloadAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
 }
 
 // OverloadArtifact normalizes an overload A/B result for the committed

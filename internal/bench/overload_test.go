@@ -12,12 +12,12 @@ import (
 // overload tests: the run is the expensive part, and every test here wants
 // the same comparison point (full scale, 2x the sustainable load).
 var sharedAB = sync.OnceValues(func() (*OverloadAB, error) {
-	return RunOverloadAB(1, 1, 1, 3, 2, nil, nil)
+	return RunOverloadAB(1, 1, 1, 3, nil, nil)
 })
 
 // TestRunOverloadAB is the acceptance gate for the overload-protection
 // plane, run at the calibrated comparison point (full scale, 2x the
-// sustainable load): ValidateOverloadAB enforces that the unprotected side
+// sustainable load): OverloadAB.Validate enforces that the unprotected side
 // melted, the protected side shed AND fast-failed with >= 99% of its
 // violations attributed, and that protection bought a lower successful
 // p999 at no goodput cost.
@@ -26,7 +26,7 @@ func TestRunOverloadAB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateOverloadAB(ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if ab.LoadFactor != 2 || ab.Config != 3 {
@@ -40,7 +40,7 @@ func TestRunOverloadAB(t *testing.T) {
 	}
 
 	var text bytes.Buffer
-	WriteOverloadReport(&text, ab)
+	ab.WriteText(&text)
 	for _, want := range []string{
 		"KV overload A/B", "goodput (within-SLO ok)", "shed (point / bulk)",
 		"deadline expiries", "success p999", "violation causes (protected side)",
@@ -61,14 +61,14 @@ func TestOverloadJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteOverloadJSON(&buf, ab); err != nil {
+	if err := writeJSON(&buf, ab); err != nil {
 		t.Fatal(err)
 	}
 	var rt OverloadAB
 	if err := json.Unmarshal(buf.Bytes(), &rt); err != nil {
 		t.Fatalf("decode artifact: %v", err)
 	}
-	if err := ValidateOverloadAB(&rt); err != nil {
+	if err := rt.Validate(); err != nil {
 		t.Fatalf("round-tripped report invalid: %v", err)
 	}
 	if rt.Protected.Overload.Success != ab.Protected.Overload.Success {
@@ -103,7 +103,7 @@ func TestValidateOverloadABRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateOverloadAB(ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +130,7 @@ func TestValidateOverloadABRejectsCorruption(t *testing.T) {
 		})},
 	}
 	for _, tc := range cases {
-		if ValidateOverloadAB(tc.ab) == nil {
+		if tc.ab.Validate() == nil {
 			t.Errorf("gate accepted corrupted result: %s", tc.name)
 		}
 	}

@@ -74,11 +74,15 @@ type Result struct {
 // Progress receives runner progress messages (may be nil).
 type Progress func(format string, args ...any)
 
+// logf forwards to p; a nil Progress discards.
+func (p Progress) logf(format string, args ...any) {
+	if p != nil {
+		p(format, args...)
+	}
+}
+
 // Run executes the experiment.
 func Run(spec Spec, progress Progress) (Result, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get(spec.ID)
 	if err != nil {
 		return Result{}, err
@@ -141,7 +145,7 @@ func Run(spec Spec, progress Progress) (Result, error) {
 			cr.ScoreBoots[k] = stats.BootstrapMean(sample, stats.DefaultResamples, spec.Seed+int64(cfgID))
 		}
 		res.PerConfig = append(res.PerConfig, cr)
-		progress("%s config %-2d  %-28s mean %.4fs", spec.ID, cfgID, knobs, cr.Boot.Mean)
+		progress.logf("%s config %-2d  %-28s mean %.4fs", spec.ID, cfgID, knobs, cr.Boot.Mean)
 	}
 
 	// Normalise against Config 0 when present.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -14,7 +13,7 @@ import (
 	"hcsgc/internal/workloads"
 )
 
-// The scaling sweep (`hcsgc-bench -scale-sweep`) answers the question the
+// The scaling sweep (`hcsgc-bench -report scaling`) answers the question the
 // per-site contention counters raise: which lock stops this collector
 // from scaling, and at what mutator count. It runs the shared-array
 // synthetic (fig4) and the sharded KV server across a ladder of mutator
@@ -194,7 +193,7 @@ type ScaleSeries struct {
 	FitNote string `json:"fit_note,omitempty"`
 }
 
-// ScaleSweep is the `-scale-sweep` result (scaling-report.json).
+// ScaleSweep is the scaling report's result.
 type ScaleSweep struct {
 	Scale    float64       `json:"scale"`
 	Seed     int64         `json:"seed"`
@@ -217,9 +216,6 @@ const (
 // muts nil/empty selects ScalingMutators. With a telemetry sink attached
 // the sweep exports its curve as hcsgc_scaling_* gauges.
 func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetrySink, progress Progress) (*ScaleSweep, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	if len(muts) == 0 {
 		muts = ScalingMutators
 	}
@@ -235,9 +231,6 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 		}
 	}
 	ladder = uniq
-	if seed == 0 {
-		seed = 1
-	}
 	sweep := &ScaleSweep{Scale: scale, Seed: seed, Mutators: ladder}
 	knobs := KnobsFor(scalingConfig)
 
@@ -305,7 +298,7 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 			pt.Sites = snap.Sites
 			pt.CAS = snap.CAS
 			series.Points = append(series.Points, pt)
-			progress("scale %-4s x%-3d  %12.0f ops/s", name, n, pt.Throughput)
+			progress.logf("scale %-4s x%-3d  %12.0f ops/s", name, n, pt.Throughput)
 		}
 		if base := series.Points[0].Throughput; base > 0 {
 			for i := range series.Points {
@@ -349,12 +342,11 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 	return sweep, nil
 }
 
-// ValidateScaleSweep checks structural well-formedness: every series
-// covers the full ladder in ascending order with positive throughput,
-// each point's ranked contention table is monotone (most-contended
-// first), and a successful fit is physical (λ > 0, σ, κ ≥ 0). Used by
-// the CI smoke step.
-func ValidateScaleSweep(s *ScaleSweep) error {
+// Validate checks structural well-formedness: every series covers the
+// full ladder in ascending order with positive throughput, each point's
+// ranked contention table is monotone (most-contended first), and a
+// successful fit is physical (λ > 0, σ, κ ≥ 0).
+func (s *ScaleSweep) Validate() error {
 	if len(s.Series) == 0 {
 		return fmt.Errorf("bench: scale sweep has no series")
 	}
@@ -397,10 +389,10 @@ func ValidateScaleSweep(s *ScaleSweep) error {
 	return nil
 }
 
-// WriteScalingReport renders the sweep as text: per workload, the
+// WriteText renders the sweep as text: per workload, the
 // throughput/speedup ladder with the top contended site at each width,
 // the USL coefficients, and the full ranked table at the widest point.
-func WriteScalingReport(w io.Writer, s *ScaleSweep) {
+func (s *ScaleSweep) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== scaling sweep: mutators %v, scale %g, seed %d ===\n", s.Mutators, s.Scale, s.Seed)
 	for _, ser := range s.Series {
 		fmt.Fprintf(w, "\n--- %s ---\n", ser.Workload)
@@ -437,14 +429,6 @@ func WriteScalingReport(w io.Writer, s *ScaleSweep) {
 				c.Name, c.Ops, c.Retries, 100*c.RetryFrac)
 		}
 	}
-}
-
-// WriteScalingJSON renders the full sweep as indented JSON
-// (scaling-report.json, the artifact CI uploads).
-func WriteScalingJSON(w io.Writer, s *ScaleSweep) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // ScalingArtifact normalizes the sweep into the BENCH_scaling.json shape:

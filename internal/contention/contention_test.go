@@ -432,12 +432,21 @@ func BenchmarkMutex(b *testing.B) {
 
 // TestContentionEndpoint: the /contention endpoint serves the plane's
 // ranked snapshot as JSON — the golden shape downstream tooling (the CI
-// smoke step, dashboards) parses. Before a source is installed the
-// endpoint answers null, matching the sink's other pull endpoints.
+// smoke step, dashboards) parses. Before the plane is published the
+// endpoint is a 404, like every other unpublished sink name.
 func TestContentionEndpoint(t *testing.T) {
 	sink := telemetry.NewSink()
 	srv := httptest.NewServer(sink.Handler())
 	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/contention")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/contention without a source: status %d, want 404", resp.StatusCode)
+	}
 
 	get := func() string {
 		resp, err := http.Get(srv.URL + "/contention")
@@ -458,10 +467,6 @@ func TestContentionEndpoint(t *testing.T) {
 		return string(body)
 	}
 
-	if got := strings.TrimSpace(get()); got != "null" {
-		t.Fatalf("/contention without a source = %q, want null", got)
-	}
-
 	p := New()
 	hot := p.NewSite("core.cycleMu")
 	hot.acquisitions.Add(10)
@@ -479,7 +484,7 @@ func TestContentionEndpoint(t *testing.T) {
 		{Scanned: 5, Relocated: 1, BusyCycles: 100},
 		{Scanned: 3, BusyCycles: 100},
 	})
-	sink.SetContention(func() any { return p.Snapshot() })
+	sink.Publish("contention", func() any { return p.Snapshot() })
 
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(get()), &snap); err != nil {

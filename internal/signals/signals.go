@@ -59,10 +59,6 @@ type Thresholds struct {
 	// MinSegPurity flags "purity_drop" when segregation purity was
 	// measured (>= 0) and fell below it. Default 0.5.
 	MinSegPurity float64
-	// ContentionSpike flags "contention_spike" when the cycle's lock
-	// contended-acquisition fraction (contention plane attached) meets
-	// it. Default 0.25.
-	ContentionSpike float64
 }
 
 func (c Config) withDefaults() Config {
@@ -87,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if t.MinSegPurity == 0 {
 		t.MinSegPurity = 0.5
-	}
-	if t.ContentionSpike == 0 {
-		t.ContentionSpike = 0.25
 	}
 	return c
 }
@@ -241,16 +234,13 @@ const (
 	FlagLongPause      = "long_pause"
 	FlagHeapPressure   = "heap_pressure"
 	FlagPurityDrop     = "purity_drop"
-	// FlagContentionSpike is the ROADMAP-4 controller's cue that the
-	// cycle serialized on locks rather than work.
-	FlagContentionSpike = "contention_spike"
 )
 
 // FlagNames is the full flag set (the label set of
 // hcsgc_signal_flags_total).
 var FlagNames = []string{
 	FlagLowUtilization, FlagStallSpike, FlagLongPause,
-	FlagHeapPressure, FlagPurityDrop, FlagContentionSpike,
+	FlagHeapPressure, FlagPurityDrop,
 }
 
 type ewmaState struct {
@@ -374,10 +364,6 @@ func (p *Plane) flags(rec *CycleSignals, raw map[string]float64) []string {
 			// copy so the flag works in both configurations.
 			out = append(out, FlagPurityDrop)
 		}
-	}
-	if th.ContentionSpike > 0 && rec.Contention.Present &&
-		rec.Contention.ContendedFrac >= th.ContentionSpike {
-		out = append(out, FlagContentionSpike)
 	}
 	return out
 }

@@ -452,7 +452,7 @@ func (t *TailAttributor) Report() TailReport {
 // Validate checks a report's structural invariants: cause counts summing
 // to the violation count, fractions in range, monotone per-cause
 // quantiles, and exemplars consistent with the threshold. The shape gate
-// behind bench.ValidateTailAB and the endpoint tests.
+// behind the KV report's validator and the endpoint tests.
 func (r TailReport) Validate() error {
 	if r.Violations > r.Requests {
 		return fmt.Errorf("signals: %d violations exceed %d requests", r.Violations, r.Requests)

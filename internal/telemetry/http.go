@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sort"
+	"strings"
 	"sync"
 )
 
@@ -19,15 +21,9 @@ type Sink struct {
 
 	mu          sync.Mutex
 	gclog       func(io.Writer)
-	locality    func() any
-	mmu         func() any
-	kv          func() any
 	flight      func(io.Writer) error
 	flightRearm func()
-	signals     func() any
-	tailattr    func() any
-	overload    func() any
-	contention  func() any
+	published   map[string]func() any
 
 	// dropped mirrors the recorder's loss counters into the registry at
 	// scrape time so exporters can alert on telemetry loss.
@@ -91,111 +87,32 @@ func (s *Sink) WriteGCLog(w io.Writer) {
 	}
 }
 
-// SetLocality installs the snapshot source behind the /locality endpoint
-// (typically a closure over locality.Profiler.Report). The returned value
-// is rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetLocality(fn func() any) {
+// Publish serves fn's result as indented JSON on /name (typically a
+// closure over a plane's Report or Snapshot). The index at / lists every
+// published name next to the built-in endpoints. Nil-safe; the latest
+// publisher of a name wins when several runtimes share the sink.
+func (s *Sink) Publish(name string, fn func() any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.locality = fn
-	s.mu.Unlock()
-}
-
-// SetMMU installs the snapshot source behind the /mmu endpoint (typically
-// a closure over latency.Tracker.MMUSnapshot). The returned value is
-// rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetMMU(fn func() any) {
-	if s == nil {
-		return
+	if s.published == nil {
+		s.published = map[string]func() any{}
 	}
-	s.mu.Lock()
-	s.mmu = fn
-	s.mu.Unlock()
-}
-
-// SetKV installs the snapshot source behind the /kv endpoint (typically
-// a closure over kvstore.Metrics.Report). The returned value is rendered
-// as JSON. Nil-safe; the latest workload wins.
-func (s *Sink) SetKV(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.kv = fn
+	s.published[name] = fn
 	s.mu.Unlock()
 }
 
 // SetFlightRecorder installs the dump renderer behind the /flightrecorder
-// endpoint (typically a closure over latency.Tracker.WriteFlight).
-// Nil-safe; the latest runtime wins.
-func (s *Sink) SetFlightRecorder(fn func(io.Writer) error) {
+// endpoint (typically a closure over latency.Tracker.WriteFlight) and the
+// dump-budget reset behind its ?rearm=1 parameter (typically
+// latency.Tracker.Rearm). Nil-safe; the latest runtime wins.
+func (s *Sink) SetFlightRecorder(dump func(io.Writer) error, rearm func()) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.flight = fn
-	s.mu.Unlock()
-}
-
-// SetFlightRearm installs the dump-budget reset behind the
-// /flightrecorder?rearm=1 parameter (typically latency.Tracker.Rearm).
-// Nil-safe; the latest runtime wins.
-func (s *Sink) SetFlightRearm(fn func()) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.flightRearm = fn
-	s.mu.Unlock()
-}
-
-// SetSignals installs the snapshot source behind the /signals endpoint
-// (typically a closure over signals.Plane.Snapshot). The returned value
-// is rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetSignals(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.signals = fn
-	s.mu.Unlock()
-}
-
-// SetContention installs the snapshot source behind the /contention
-// endpoint (typically a closure over contention.Plane.Snapshot). The
-// returned value is rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetContention(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.contention = fn
-	s.mu.Unlock()
-}
-
-// SetTailAttr installs the snapshot source behind the /tailattr endpoint
-// (typically a closure over signals.TailAttributor.Report). The returned
-// value is rendered as JSON. Nil-safe; the latest workload wins.
-func (s *Sink) SetTailAttr(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tailattr = fn
-	s.mu.Unlock()
-}
-
-// SetOverload installs the snapshot source behind the /overload endpoint
-// (typically a closure over overload.Controller.Report). The returned
-// value is rendered as JSON. Nil-safe; the latest workload wins.
-func (s *Sink) SetOverload(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.overload = fn
+	s.flight, s.flightRearm = dump, rearm
 	s.mu.Unlock()
 }
 
@@ -215,15 +132,32 @@ func (s *Sink) WriteFlightRecorder(w io.Writer) error {
 	return fn(w)
 }
 
-// Handler returns the HTTP mux serving /metrics (Prometheus text),
-// /metrics.json (JSON snapshot), /trace (Chrome trace_event JSON),
-// /gclog (ZGC-style text log), /locality (locality-profiler report),
-// /mmu (minimum-mutator-utilization curve), /kv (KV serving report),
-// /flightrecorder (latency flight-recorder dump; ?rearm=1 resets the
-// auto-dump budget), /signals (unified per-cycle signal plane),
-// /contention (contention attribution plane: ranked lock sites, CAS
-// loops, worker balance), /tailattr (request-level tail attribution
-// report) and /overload (admission-control and goodput accounting).
+// BuiltinPaths are the endpoints every sink serves with its own handler:
+// Prometheus text, the JSON metrics snapshot, the Chrome trace, the
+// ZGC-style GC log, and the latency flight-recorder dump (?rearm=1 resets
+// its auto-dump budget).
+var BuiltinPaths = []string{"/metrics", "/metrics.json", "/trace", "/gclog", "/flightrecorder"}
+
+// Paths is the endpoint index: the built-in paths, then every published
+// name in sorted order. The / endpoint serves it one path per line.
+func (s *Sink) Paths() []string {
+	paths := append([]string(nil), BuiltinPaths...)
+	if s == nil {
+		return paths
+	}
+	s.mu.Lock()
+	var names []string
+	for name := range s.published {
+		names = append(names, "/"+name)
+	}
+	s.mu.Unlock()
+	sort.Strings(names)
+	return append(paths, names...)
+}
+
+// Handler returns the HTTP mux serving the built-in endpoints, each
+// published JSON snapshot on /name, and the index at /. A name nobody
+// published is a 404.
 func (s *Sink) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -251,45 +185,6 @@ func (s *Sink) Handler() http.Handler {
 		}
 		fn(w)
 	})
-	mux.HandleFunc("/locality", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.locality
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/mmu", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.mmu
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/kv", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.kv
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
 	mux.HandleFunc("/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		fn := s.flight
@@ -305,64 +200,23 @@ func (s *Sink) Handler() http.Handler {
 		}
 		fn(w)
 	})
-	mux.HandleFunc("/signals", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.signals
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/contention", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.contention
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/tailattr", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.tailattr
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/overload", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.overload
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
+		if r.URL.Path == "/" {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprintln(w, strings.Join(s.Paths(), "\n"))
+			return
+		}
+		s.mu.Lock()
+		fn := s.published[strings.TrimPrefix(r.URL.Path, "/")]
+		s.mu.Unlock()
+		if fn == nil {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "hcsgc telemetry: /metrics /metrics.json /trace /gclog /locality /mmu /kv /flightrecorder /signals /contention /tailattr /overload")
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(fn())
 	})
 	return mux
 }

@@ -15,6 +15,10 @@ func TestNilSinkIsSafe(t *testing.T) {
 		t.Error("nil sink must hand out nil components")
 	}
 	s.SetGCLog(func(io.Writer) {})
+	s.Publish("kv", func() any { return nil })
+	if got := s.Paths(); len(got) != len(BuiltinPaths) {
+		t.Errorf("nil sink index = %v, want the built-in paths", got)
+	}
 	s.Recorder().Record(EvPageAlloc, 0, 0, 0)
 	s.Metrics().Counter("x", "").Inc()
 }
@@ -73,18 +77,23 @@ func TestSinkEndpoints(t *testing.T) {
 		t.Errorf("/gclog = %q", gclog)
 	}
 
-	kvNull, kvType := get("/kv")
-	if strings.TrimSpace(kvNull) != "null" {
-		t.Errorf("/kv without a source = %q, want null", kvNull)
+	// A never-published name is a 404, not "200 null".
+	resp, err := http.Get(srv.URL + "/kv")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(kvType, "application/json") {
-		t.Errorf("/kv content type %q", kvType)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/kv without a publisher: status %d, want 404", resp.StatusCode)
 	}
-	sink.SetKV(func() any { return map[string]int{"hits": 7} })
-	kvBody, _ := get("/kv")
+	sink.Publish("kv", func() any { return map[string]int{"hits": 7} })
+	kvBody, kvType := get("/kv")
 	var kv map[string]int
 	if err := json.Unmarshal([]byte(kvBody), &kv); err != nil || kv["hits"] != 7 {
 		t.Errorf("/kv = %q (err %v), want hits 7", kvBody, err)
+	}
+	if !strings.HasPrefix(kvType, "application/json") {
+		t.Errorf("/kv content type %q", kvType)
 	}
 
 	index, _ := get("/")
@@ -93,6 +102,46 @@ func TestSinkEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(index, "/metrics") {
 		t.Errorf("index = %q", index)
+	}
+}
+
+// TestSinkIndex: / lists exactly the built-in paths plus every published
+// name, each path it lists answers 200, and a published name serves its
+// snapshot as JSON.
+func TestSinkIndex(t *testing.T) {
+	sink := NewSink()
+	sink.Publish("signals", func() any { return []int{1, 2} })
+	sink.Publish("contention", func() any { return map[string]string{"top": "heap.mu"} })
+	sink.Publish("signals", func() any { return []int{3} }) // latest publisher wins
+
+	srv := httptest.NewServer(sink.Handler())
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+
+	want := append(append([]string(nil), BuiltinPaths...), "/contention", "/signals")
+	_, index := get("/")
+	got := strings.Fields(index)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("index = %v, want %v", got, want)
+	}
+	for _, path := range got {
+		if code, _ := get(path); code != http.StatusOK {
+			t.Errorf("%s listed in the index but answers %d", path, code)
+		}
+	}
+	if _, body := get("/signals"); strings.Join(strings.Fields(body), "") != "[3]" {
+		t.Errorf("/signals = %q, want the latest publisher's [3]", body)
+	}
+	if code, _ := get("/nonesuch"); code != http.StatusNotFound {
+		t.Errorf("/nonesuch status %d, want 404", code)
 	}
 }
 

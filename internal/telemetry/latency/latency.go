@@ -520,7 +520,7 @@ func (t *Tracker) StallDist() Dist {
 }
 
 // WriteFlight renders an on-demand flight dump to w as indented JSON (the
-// /flightrecorder endpoint and -latency-report). Nil-safe: a nil tracker
+// /flightrecorder endpoint and the latency report). Nil-safe: a nil tracker
 // writes a dump with a null report.
 func (t *Tracker) WriteFlight(w io.Writer, reason string) error {
 	return writeDump(w, FlightDump{Reason: reason, Report: t.Report()}, true)

@@ -67,8 +67,8 @@ func kvPriority(op loadgen.Op) overload.Priority {
 	return overload.PriorityPoint
 }
 
-// KVServer is the serving-latency benchmark behind `hcsgc-bench -kv-report`
-// and (with RunConfig.Overload armed) `hcsgc-bench -overload-report`.
+// KVServer is the serving-latency benchmark behind `hcsgc-bench -report kv`
+// and (with RunConfig.Overload armed) `hcsgc-bench -report overload`.
 func KVServer() Workload {
 	return Workload{
 		Name: "KV server under open-loop load (SLO latency)",
@@ -123,12 +123,12 @@ func KVServer() Workload {
 				mx.BindTelemetry(cfg.Telemetry.Metrics())
 				// The /kv endpoint serves this run's live report (latest
 				// run wins, like the other per-runtime endpoints).
-				cfg.Telemetry.SetKV(func() any { return mx.Report(nil) })
+				cfg.Telemetry.Publish("kv", func() any { return mx.Report(nil) })
 			}
 			if cfg.Tail != nil && cfg.Telemetry != nil {
 				cfg.Tail.BindTelemetry(cfg.Telemetry.Metrics())
 				tail := cfg.Tail
-				cfg.Telemetry.SetTailAttr(func() any { return tail.Report() })
+				cfg.Telemetry.Publish("tailattr", func() any { return tail.Report() })
 			}
 
 			e := newEnv(cfg, kvHeapBytes, 2)
@@ -157,11 +157,11 @@ func KVServer() Workload {
 				if ctrl != nil {
 					c := ctrl
 					ctrl.BindTelemetry(reg)
-					cfg.Telemetry.SetOverload(func() any { return c.Report() })
+					cfg.Telemetry.Publish("overload", func() any { return c.Report() })
 				} else {
 					o, slo := ost, pol.GoodputSLOCycles
 					ost.BindTelemetry(reg)
-					cfg.Telemetry.SetOverload(func() any { return o.Report(slo) })
+					cfg.Telemetry.Publish("overload", func() any { return o.Report(slo) })
 				}
 			}
 

@@ -95,9 +95,14 @@ func TestSignalsEndpointShape(t *testing.T) {
 		}
 	}
 
-	// Without a serving workload the tail endpoint reports null.
-	if got := strings.TrimSpace(httpGet(t, srv.Addr(), "/tailattr")); got != "null" {
-		t.Errorf("/tailattr without an attributor = %q, want null", got)
+	// Without a serving workload nothing publishes the tail endpoint.
+	resp, err := http.Get("http://" + srv.Addr() + "/tailattr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/tailattr without an attributor: status %d, want 404", resp.StatusCode)
 	}
 }
 
