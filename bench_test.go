@@ -251,44 +251,6 @@ func BenchmarkSignalsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkContentionOverhead measures the cost of the contention
-// attribution plane on a representative workload run: "off" disables the
-// plane — every instrumented Mutex reduces to a bare sync.Mutex behind
-// one predictable nil check, and the CAS sites to the same — while
-// "always-on" is the production default: each instrumented acquisition
-// is one TryLock plus one atomic add on the fast path (two more adds and
-// a wait-histogram record only when actually contended), and each CAS
-// site one atomic add per op. The acceptance bar is "always-on" within
-// noise of "off". The micro cost of the wrapper itself is priced in
-// internal/contention's BenchmarkMutex.
-func BenchmarkContentionOverhead(b *testing.B) {
-	w, err := workloads.Get("fig4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	knobs := bench.KnobsFor(4)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"off", true},
-		{"always-on", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(workloads.RunConfig{
-					Knobs:             knobs,
-					Seed:              int64(i + 1),
-					Scale:             benchScale,
-					DisableContention: mode.disable,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTable1PageAlloc measures the page allocator underlying the
 // Table 1 size classes.
 func BenchmarkTable1PageAlloc(b *testing.B) {

@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"hcsgc/internal/contention"
 	"hcsgc/internal/core"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/heap"
@@ -116,15 +115,6 @@ type (
 	CycleSignals = signals.CycleSignals
 	// SignalsSnapshot is the /signals endpoint payload.
 	SignalsSnapshot = signals.Snapshot
-	// ContentionPlane is the contention & scalability attribution plane:
-	// per-site lock acquisition/contended counts and wait histograms,
-	// CAS retry profiling, and GC-worker balance (see
-	// internal/contention). On by default; Options.DisableContention
-	// turns it off. Its ranked snapshot is the serialization list
-	// ROADMAP item 1's sharding work starts from.
-	ContentionPlane = contention.Plane
-	// ContentionSnapshot is the /contention endpoint payload.
-	ContentionSnapshot = contention.Snapshot
 	// TailAttributor classifies SLO-violating requests by cause
 	// (stw-pause / alloc-stall / queued-behind-stall / service) and links
 	// them to the responsible cycle's CycleSignals record.
@@ -219,11 +209,6 @@ func NewLatencyTracker(cfg LatencyConfig) *LatencyTracker { return latency.New(c
 // DisableSignals) creates a default plane itself.
 func NewSignalPlane(cfg SignalsConfig) *SignalPlane { return signals.New(cfg) }
 
-// NewContentionPlane builds a contention plane. Pass it via
-// Options.Contention to share one plane across runtimes; a runtime
-// without one (and without DisableContention) creates its own.
-func NewContentionPlane() *ContentionPlane { return contention.New() }
-
 // NewTailAttributor builds a request-level tail attributor. Serving
 // harnesses create per-thread classifiers from it via
 // TailAttributor.Classifier(rt.Signals).
@@ -289,14 +274,6 @@ type Options struct {
 	// DisableSignals turns the signal plane off entirely (the cycle
 	// boundary and each allocation then cost one predictable branch).
 	DisableSignals bool
-	// Contention overrides the contention attribution plane. Nil = the
-	// runtime builds one; the plane is always-on unless
-	// DisableContention is set.
-	Contention *ContentionPlane
-	// DisableContention turns the contention plane off entirely (every
-	// instrumented lock then behaves as a bare sync.Mutex plus one
-	// predictable branch per operation).
-	DisableContention bool
 	// FaultInjector arms the fault-injection plane (nil = disarmed; each
 	// injection point then costs one predictable branch).
 	FaultInjector *FaultInjector
@@ -329,9 +306,6 @@ type Runtime struct {
 	Latency *LatencyTracker
 	// Signals is the runtime's signal plane; nil when DisableSignals.
 	Signals *SignalPlane
-	// Contention is the runtime's contention attribution plane; nil when
-	// DisableContention.
-	Contention *ContentionPlane
 
 	mu       sync.Mutex
 	mutators []*Mutator
@@ -340,13 +314,6 @@ type Runtime struct {
 
 // NewRuntime builds a runtime from options.
 func NewRuntime(opts Options) (*Runtime, error) {
-	ctn := opts.Contention
-	if ctn == nil && !opts.DisableContention {
-		ctn = contention.New()
-	}
-	if opts.DisableContention {
-		ctn = nil
-	}
 	var mem *simmem.Hierarchy
 	if !opts.DisableMemModel {
 		cfg := simmem.DefaultConfig()
@@ -358,15 +325,11 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ctn != nil {
-			mem.SetContention(ctn)
-		}
 	}
 	h := heap.New(heap.Config{
 		MaxBytes:        opts.HeapMaxBytes,
 		EnableTinyClass: opts.Knobs.TinyPages,
 		Injector:        opts.FaultInjector,
-		Contention:      ctn,
 	}, mem)
 	h.SetRecorder(opts.Telemetry.Recorder())
 	if opts.Verifier != nil {
@@ -400,7 +363,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		Locality:       opts.Locality,
 		Latency:        lat,
 		Signals:        sig,
-		Contention:     ctn,
 		FaultInjector:  opts.FaultInjector,
 		StallRetries:   opts.StallRetries,
 		StallBackoff:   opts.StallBackoff,
@@ -426,28 +388,18 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		sig.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
 		opts.Telemetry.Publish("signals", func() any { return sig.Snapshot() })
 	}
-	if ctn != nil && opts.Telemetry != nil {
-		// The registry and recorder cannot adopt contention.Mutex (import
-		// cycle through telemetry/latency); they self-report as sources.
-		reg, rec := opts.Telemetry.Metrics(), opts.Telemetry.Recorder()
-		ctn.AddSource("telemetry.registryMu", func() (uint64, uint64) { return reg.MuStats() })
-		ctn.AddSource("telemetry.recorderShards", func() (uint64, uint64) { return rec.MuStats() })
-		ctn.BindTelemetry(reg, rec)
-		opts.Telemetry.Publish("contention", func() any { return ctn.Snapshot() })
-	}
 	mach := opts.Machine
 	if mach.Cores == 0 {
 		mach = LaptopMachine
 	}
 	rt := &Runtime{
-		Heap:       h,
-		Collector:  col,
-		Mem:        mem,
-		Types:      types,
-		Machine:    mach,
-		Latency:    lat,
-		Signals:    sig,
-		Contention: ctn,
+		Heap:      h,
+		Collector: col,
+		Mem:       mem,
+		Types:     types,
+		Machine:   mach,
+		Latency:   lat,
+		Signals:   sig,
 	}
 	if opts.StartDriver {
 		col.StartDriver()

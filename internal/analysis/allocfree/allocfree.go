@@ -396,9 +396,9 @@ func (c *checker) checkAssignBoxing(p *lintkit.Pass, as *ast.AssignStmt, report 
 }
 
 // allowedCallee reports whether the callee is on the allocation-free
-// allowlist: whole trusted packages, runtime.Gosched, the sync lock
+// allowlist: whole trusted packages, runtime.Gosched and the sync lock
 // primitives (locking never allocates; contention parks on runtime
-// structures, not the Go heap), and the time.Now/time.Since clock reads.
+// structures, not the Go heap).
 func allowedCallee(f *types.Func) bool {
 	pkg := f.Pkg()
 	if pkg == nil {
@@ -413,14 +413,6 @@ func allowedCallee(f *types.Func) bool {
 	if pkg.Path() == "sync" {
 		switch f.Name() {
 		case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
-			return true
-		}
-	}
-	if pkg.Path() == "time" {
-		// Clock reads for contended-wait attribution: both return stack
-		// values (time.Time / time.Duration) and never touch the Go heap.
-		switch f.Name() {
-		case "Now", "Since":
 			return true
 		}
 	}

@@ -13,11 +13,3 @@ func TestAllocFree(t *testing.T) {
 	// and the module-pass boundary findings.
 	lintkit.RunFixture(t, "testdata", "af", allocfree.Analyzer)
 }
-
-func TestAllocFreeContentionFastPath(t *testing.T) {
-	// ctn mirrors the contention.Mutex lock wrapper: the annotated fast
-	// path (TryLock + atomic adds + time.Now/Since + annotated recorder)
-	// must prove clean, while formatting and wait buffering stay
-	// findings.
-	lintkit.RunFixture(t, "testdata", "ctn", allocfree.Analyzer)
-}

@@ -22,7 +22,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // FuncKey identifies a function across separately type-checked packages
@@ -236,13 +235,7 @@ func MutexOp(info *types.Info, pkgPath string, call *ast.CallExpr) (owner string
 		return "", 0
 	}
 	recv := namedTypeName(recvType(f))
-	switch {
-	case f.Pkg().Path() == "sync" && (recv == "Mutex" || recv == "RWMutex"):
-	case mutexPkg(f.Pkg().Path()) && recv == "Mutex":
-		// contention.Mutex is sync.Mutex plus attribution counters: same
-		// operations, same bracket discipline, same lock-order ranks on
-		// the declaring field.
-	default:
+	if f.Pkg().Path() != "sync" || (recv != "Mutex" && recv != "RWMutex") {
 		return "", 0
 	}
 	owner = mutexIdent(info, pkgPath, ast.Unparen(sel.X))
@@ -250,16 +243,6 @@ func MutexOp(info *types.Info, pkgPath string, call *ast.CallExpr) (owner string
 		return "", 0
 	}
 	return owner, dir
-}
-
-// mutexPkg reports whether the import path names the instrumented-mutex
-// package (matched by last path segment so GOPATH-layout analyzer
-// fixtures can stub it as plain "contention").
-func mutexPkg(path string) bool {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		path = path[i+1:]
-	}
-	return path == "contention"
 }
 
 // mutexIdent names the mutex-valued expression.

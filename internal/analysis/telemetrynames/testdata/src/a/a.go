@@ -109,11 +109,9 @@ func register(reg *telemetry.Registry, suffix string) {
 	reg.Gauge("hcsgc_overload_sheds_total", "Not a counter.")                // want `registered as Gauge here but as Counter`
 	reg.Summary("hcsgc_overload_state_count", "Reserved.", nil)              // want `reserved suffix "_count"`
 
-	// The contention-plane families (internal/contention.Plane): per-site
-	// acquisition/contended counters, CAS retry counters keyed by
-	// structure, the wait summary, and the per-worker balance counters
-	// with the imbalance gauge — legal multi-site registration with
-	// shared kind and help across label values.
+	// Families registered once per site, structure or worker: legal
+	// multi-site registration with shared kind and help across label
+	// values.
 	reg.Counter("hcsgc_contention_acquisitions_total", "Lock acquisitions by site.", "site", "core.cycleMu")
 	reg.Counter("hcsgc_contention_acquisitions_total", "Lock acquisitions by site.", "site", "heap.mu")
 	reg.Counter("hcsgc_contention_contended_total", "Contended acquisitions by site.", "site", "core.cycleMu")
@@ -126,8 +124,7 @@ func register(reg *telemetry.Registry, suffix string) {
 	reg.Counter("hcsgc_worker_busy_cycles_total", "Busy virtual cycles per GC worker.", "worker", "0")
 	reg.Gauge("hcsgc_worker_imbalance", "Coefficient of variation of per-worker work.")
 
-	// The scaling-sweep families (internal/bench.RunScaleSweep): gauges
-	// keyed by workload and mutator count, plus per-workload USL fits.
+	// Gauges keyed by workload and mutator count, and by workload alone.
 	reg.Gauge("hcsgc_scaling_throughput", "Sweep throughput.", "workload", "fig4", "mutators", "8")
 	reg.Gauge("hcsgc_scaling_throughput", "Sweep throughput.", "workload", "kv", "mutators", "8")
 	reg.Gauge("hcsgc_scaling_speedup", "Sweep speedup over one mutator.", "workload", "fig4", "mutators", "8")

@@ -97,7 +97,7 @@ var reports = []Report{
 	},
 	{
 		Name:     "scaling",
-		Desc:     "many-core scaling sweep: fig4 + KV across a mutator ladder, USL fit, ranked contention tables",
+		Desc:     "many-core scaling sweep: fig4 + KV across a mutator ladder, cores swept with mutators",
 		Defaults: ReportOptions{Mutators: ScalingMutators, Seed: 1},
 		run: func(o ReportOptions, p Progress) (ReportResult, error) {
 			return RunScaleSweep(o.Mutators, o.Scale, o.Seed, o.Telemetry, p)
@@ -189,7 +189,7 @@ type abRun struct {
 	seed     int64
 	sink     *hcsgc.TelemetrySink
 	progress Progress
-	checks   map[int]uint64
+	checks   checkGuard
 }
 
 func newABRun(label, expID string, runs int, scale float64, seed int64, sink *hcsgc.TelemetrySink, progress Progress) (*abRun, error) {
@@ -198,7 +198,7 @@ func newABRun(label, expID string, runs int, scale float64, seed int64, sink *hc
 		return nil, err
 	}
 	return &abRun{label: label, w: w, runs: runs, scale: scale, seed: seed,
-		sink: sink, progress: progress, checks: map[int]uint64{}}, nil
+		sink: sink, progress: progress, checks: checkGuard{}}, nil
 }
 
 // side runs cfgID's runs. arm attaches the caller's per-run instruments
@@ -221,12 +221,11 @@ func (a *abRun) side(cfgID int, arm func(*workloads.RunConfig)) (ABSide, int, er
 		if err != nil {
 			return side, 0, fmt.Errorf("%s: config %d run %d: %w", a.label, cfgID, run, err)
 		}
-		if prev, seen := a.checks[run]; seen && out.Check != prev {
+		if want, ok := a.checks.see(run, out.Check); !ok {
 			return side, 0, fmt.Errorf(
 				"%s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-				a.label, cfgID, run, out.Check, prev)
+				a.label, cfgID, run, out.Check, want)
 		}
-		a.checks[run] = out.Check
 		exec += out.ExecSeconds
 		gcCycles += out.GCCycleCount
 		a.progress.logf("%s config %-2d run %d/%d", a.label, cfgID, run+1, a.runs)

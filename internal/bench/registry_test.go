@@ -131,10 +131,9 @@ func TestReportSchemas(t *testing.T) {
 // metric names of the committed baselines, so -bench-compare never warns
 // about a metric with no baseline or a baseline metric gone missing.
 func TestArtifactMetricNames(t *testing.T) {
-	fit := &USLFit{Lambda: 1}
 	sweep := &ScaleSweep{Mutators: []int{1, 2, 4}}
 	for _, w := range scalingWorkloads {
-		ser := ScaleSeries{Workload: w, Fit: fit}
+		ser := ScaleSeries{Workload: w}
 		for _, n := range sweep.Mutators {
 			ser.Points = append(ser.Points, ScalePoint{Mutators: n})
 		}

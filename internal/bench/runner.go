@@ -81,6 +81,21 @@ func (p Progress) logf(format string, args ...any) {
 	}
 }
 
+// checkGuard pins the checksum first seen under each key (a run index,
+// or one key for a whole ladder): a later run under the same key must
+// reproduce it, or a configuration changed program results.
+type checkGuard map[int]uint64
+
+// see records check under key and reports whether it matches the first
+// checksum recorded there; want is that first checksum.
+func (g checkGuard) see(key int, check uint64) (want uint64, ok bool) {
+	if prev, seen := g[key]; seen {
+		return prev, prev == check
+	}
+	g[key] = check
+	return check, true
+}
+
 // Run executes the experiment.
 func Run(spec Spec, progress Progress) (Result, error) {
 	w, err := workloads.Get(spec.ID)
@@ -111,14 +126,10 @@ func Run(spec Spec, progress Progress) (Result, error) {
 			if err != nil {
 				return Result{}, fmt.Errorf("bench %s: config %d run %d: %w", spec.ID, cfgID, run, err)
 			}
-			if prev, seen := res.Checks[run]; seen {
-				if out.Check != prev {
-					return Result{}, fmt.Errorf(
-						"bench %s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-						spec.ID, cfgID, run, out.Check, prev)
-				}
-			} else {
-				res.Checks[run] = out.Check
+			if want, ok := checkGuard(res.Checks).see(run, out.Check); !ok {
+				return Result{}, fmt.Errorf(
+					"bench %s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
+					spec.ID, cfgID, run, out.Check, want)
 			}
 			cr.Times = append(cr.Times, out.ExecSeconds)
 			loads += float64(out.Loads)

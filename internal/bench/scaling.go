@@ -3,32 +3,28 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"strconv"
 
 	"hcsgc"
-	"hcsgc/internal/contention"
 	"hcsgc/internal/workloads"
 )
 
-// The scaling sweep (`hcsgc-bench -report scaling`) answers the question the
-// per-site contention counters raise: which lock stops this collector
-// from scaling, and at what mutator count. It runs the shared-array
+// The scaling sweep (`hcsgc-bench -report scaling`) runs the shared-array
 // synthetic (fig4) and the sharded KV server across a ladder of mutator
-// counts with a fresh contention plane per run, fits the Universal
-// Scalability Law to the throughput curve, and prints the ranked
-// contention table next to each point so the σ the fit reports has a
-// name attached.
+// counts and reports virtual throughput, speedup and GC cycles per width.
+// Every width runs on its own machine model (scalingMachine), so the curve
+// measures the collector rather than the core-count fold of
+// machine.ExecCycles.
 const (
-	// scalingTopSites / scalingTopCAS bound the per-point ranked tables
-	// (full totals remain on the /contention endpoint of a live run).
-	scalingTopSites = 6
-	scalingTopCAS   = 4
 	// scalingConfig is the GC configuration under test:
 	// RelocateAllSmallPages, the serving-path default the KV A/B uses.
 	scalingConfig = 3
+	// scalingSpareCores is machine.Laptop's hardware threads beyond the
+	// one its single mutator runs on; every width keeps them beside its
+	// mutator cores.
+	scalingSpareCores = 3
 )
 
 // ScalingMutators is the default mutator-count ladder.
@@ -36,132 +32,17 @@ var ScalingMutators = []int{1, 2, 4, 8, 16, 64}
 
 // scalingWorkloads are the swept workloads, in report order: fig4 shares
 // one array across every mutator (maximum heap/LLC crosstalk), kv shards
-// by thread (contention concentrates in the runtime, not the data).
+// by thread.
 var scalingWorkloads = []string{"fig4", "kv"}
 
-// USLFit is a least-squares fit of Gunther's Universal Scalability Law
-//
-//	X(N) = λN / (1 + σ(N−1) + κN(N−1))
-//
-// to the measured throughput curve: λ is the single-mutator throughput,
-// σ the contention (serialization) coefficient, κ the crosstalk
-// (coherency) coefficient. κ > 0 means throughput has an interior peak at
-// PeakN and decays beyond it.
-type USLFit struct {
-	Lambda float64 `json:"lambda"`
-	Sigma  float64 `json:"sigma"`
-	Kappa  float64 `json:"kappa"`
-	// R2 is the coefficient of determination of the linearized fit.
-	R2 float64 `json:"r2"`
-	// PeakN is the mutator count maximizing predicted throughput
-	// (0 = no interior peak within the model).
-	PeakN float64 `json:"peak_n,omitempty"`
+// scalingMachine is the machine model of an n-mutator point: the laptop's
+// clock with its spare hardware threads kept beside n mutator cores. At
+// n = 1 it is machine.Laptop.
+func scalingMachine(n int) hcsgc.Machine {
+	return hcsgc.Machine{Cores: n + scalingSpareCores, CyclesPerSecond: hcsgc.LaptopMachine.CyclesPerSecond}
 }
 
-// Predict evaluates the fitted model at n mutators.
-func (f USLFit) Predict(n float64) float64 {
-	den := 1 + f.Sigma*(n-1) + f.Kappa*n*(n-1)
-	if den <= 0 {
-		return 0
-	}
-	return f.Lambda * n / den
-}
-
-// FitUSL fits the USL to (mutators, throughput) points by linearized
-// least squares: with y = N/X(N), the model is y = a + b(N−1) + cN(N−1),
-// a pure linear system in (a, b, c); then λ = 1/a, σ = b/a, κ = c/a,
-// clamped to the physically meaningful σ, κ ≥ 0. Requires at least three
-// distinct mutator counts with positive throughput.
-func FitUSL(ns []float64, xs []float64) (USLFit, error) {
-	if len(ns) != len(xs) {
-		return USLFit{}, fmt.Errorf("bench: FitUSL: %d mutator counts vs %d throughputs", len(ns), len(xs))
-	}
-	distinct := map[float64]bool{}
-	var rows [][3]float64
-	var ys []float64
-	for i := range ns {
-		if ns[i] < 1 || xs[i] <= 0 {
-			continue
-		}
-		distinct[ns[i]] = true
-		rows = append(rows, [3]float64{1, ns[i] - 1, ns[i] * (ns[i] - 1)})
-		ys = append(ys, ns[i]/xs[i])
-	}
-	if len(distinct) < 3 {
-		return USLFit{}, fmt.Errorf("bench: FitUSL: need >= 3 distinct mutator counts, got %d", len(distinct))
-	}
-
-	// Normal equations A·p = v for the 3-parameter linear model.
-	var a [3][4]float64 // augmented [A | v]
-	for i, r := range rows {
-		for j := 0; j < 3; j++ {
-			for k := 0; k < 3; k++ {
-				a[j][k] += r[j] * r[k]
-			}
-			a[j][3] += r[j] * ys[i]
-		}
-	}
-	// Gaussian elimination with partial pivoting.
-	for col := 0; col < 3; col++ {
-		piv := col
-		for r := col + 1; r < 3; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[piv][col]) {
-				piv = r
-			}
-		}
-		a[col], a[piv] = a[piv], a[col]
-		if math.Abs(a[col][col]) < 1e-12 {
-			return USLFit{}, fmt.Errorf("bench: FitUSL: singular system (degenerate mutator ladder)")
-		}
-		for r := 0; r < 3; r++ {
-			if r == col {
-				continue
-			}
-			f := a[r][col] / a[col][col]
-			for k := col; k < 4; k++ {
-				a[r][k] -= f * a[col][k]
-			}
-		}
-	}
-	pa := a[0][3] / a[0][0]
-	pb := a[1][3] / a[1][1]
-	pc := a[2][3] / a[2][2]
-	if pa <= 0 {
-		return USLFit{}, fmt.Errorf("bench: FitUSL: non-positive intercept %g (throughput curve inconsistent with USL)", pa)
-	}
-
-	fit := USLFit{Lambda: 1 / pa, Sigma: pb / pa, Kappa: pc / pa}
-	if fit.Sigma < 0 {
-		fit.Sigma = 0
-	}
-	if fit.Kappa < 0 {
-		fit.Kappa = 0
-	}
-	// R² of the linearized regression (against y = N/X).
-	var mean float64
-	for _, y := range ys {
-		mean += y
-	}
-	mean /= float64(len(ys))
-	var ssTot, ssRes float64
-	for i, r := range rows {
-		pred := pa + pb*r[1] + pc*r[2]
-		ssRes += (ys[i] - pred) * (ys[i] - pred)
-		ssTot += (ys[i] - mean) * (ys[i] - mean)
-	}
-	if ssTot > 0 {
-		fit.R2 = 1 - ssRes/ssTot
-	} else {
-		fit.R2 = 1
-	}
-	if fit.Kappa > 0 && fit.Sigma < 1 {
-		fit.PeakN = math.Sqrt((1 - fit.Sigma) / fit.Kappa)
-	}
-	return fit, nil
-}
-
-// ScalePoint is one (workload, mutator count) measurement with its
-// contention attribution attached.
+// ScalePoint is one (workload, mutator count) measurement.
 type ScalePoint struct {
 	Mutators int `json:"mutators"`
 	// Throughput is completed operations per simulated second.
@@ -173,24 +54,12 @@ type ScalePoint struct {
 	ExecSeconds float64 `json:"exec_seconds"`
 	GCCycles    int     `json:"gc_cycles"`
 	Check       uint64  `json:"check"`
-	// Imbalance is the GC-worker load imbalance coefficient
-	// (stddev/mean) as of the run's last cycle.
-	Imbalance float64 `json:"worker_imbalance"`
-	// Sites is the run's ranked contention table, most-contended first
-	// (top scalingTopSites).
-	Sites []contention.SiteSnapshot `json:"sites"`
-	// CAS is the run's ranked atomic-retry table (top scalingTopCAS).
-	CAS []contention.OpSnapshot `json:"cas"`
 }
 
 // ScaleSeries is one workload's curve across the mutator ladder.
 type ScaleSeries struct {
 	Workload string       `json:"workload"`
 	Points   []ScalePoint `json:"points"`
-	Fit      *USLFit      `json:"usl_fit,omitempty"`
-	// FitNote says why Fit is absent (degenerate ladder, too few
-	// points); empty when the fit succeeded.
-	FitNote string `json:"fit_note,omitempty"`
 }
 
 // ScaleSweep is the scaling report's result.
@@ -206,13 +75,9 @@ type ScaleSweep struct {
 const (
 	helpScalingThroughput = "scale-sweep throughput in completed operations per simulated second"
 	helpScalingSpeedup    = "scale-sweep throughput relative to the smallest mutator count"
-	helpScalingSigma      = "USL contention (serialization) coefficient fitted to the sweep"
-	helpScalingKappa      = "USL crosstalk (coherency) coefficient fitted to the sweep"
-	helpScalingLambda     = "USL single-mutator throughput fitted to the sweep"
 )
 
-// RunScaleSweep runs every scaling workload across the mutator ladder,
-// one fresh contention plane per run, and fits the USL per workload.
+// RunScaleSweep runs every scaling workload across the mutator ladder.
 // muts nil/empty selects ScalingMutators. With a telemetry sink attached
 // the sweep exports its curve as hcsgc_scaling_* gauges.
 func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetrySink, progress Progress) (*ScaleSweep, error) {
@@ -244,17 +109,15 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 		// by construction; enforce it so a partitioning bug cannot
 		// masquerade as a scaling result.
 		enforceCheck := name == "fig4"
-		var wantCheck uint64
-		haveCheck := false
+		checks := checkGuard{}
 		for _, n := range ladder {
-			ctn := hcsgc.NewContentionPlane()
 			cfg := workloads.RunConfig{
-				Knobs:      knobs,
-				Seed:       seed,
-				Scale:      scale,
-				Mutators:   n,
-				Contention: ctn,
-				Telemetry:  sink,
+				Knobs:     knobs,
+				Seed:      seed,
+				Scale:     scale,
+				Mutators:  n,
+				Machine:   scalingMachine(n),
+				Telemetry: sink,
 			}
 			if name == "kv" {
 				// Open-loop arrivals: a fixed rate makes every width report
@@ -262,41 +125,28 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 				// the thread count so the series measures whether the
 				// runtime tracks N× the load with N× the servers —
 				// per-thread load is constant, runtime pressure (alloc
-				// rate, GC frequency, lock traffic) grows with N.
+				// rate, GC frequency) grows with N.
 				cfg.LoadFactor = float64(n)
 			}
 			out, err := w.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("bench: scale sweep: %s x%d: %w", name, n, err)
 			}
-			if enforceCheck {
-				if haveCheck && out.Check != wantCheck {
-					return nil, fmt.Errorf(
-						"bench: scale sweep: %s checksum %d at %d mutators != %d — mutator partitioning changed program results",
-						name, out.Check, n, wantCheck)
-				}
-				wantCheck, haveCheck = out.Check, true
+			if want, ok := checks.see(0, out.Check); enforceCheck && !ok {
+				return nil, fmt.Errorf(
+					"bench: scale sweep: %s checksum %d at %d mutators != %d — mutator partitioning changed program results",
+					name, out.Check, n, want)
 			}
-			snap := ctn.Snapshot()
 			pt := ScalePoint{
 				Mutators:    n,
 				Ops:         out.Ops,
 				ExecSeconds: out.ExecSeconds,
 				GCCycles:    out.GCCycleCount,
 				Check:       out.Check,
-				Imbalance:   snap.Imbalance,
 			}
 			if out.ExecSeconds > 0 {
 				pt.Throughput = float64(out.Ops) / out.ExecSeconds
 			}
-			if len(snap.Sites) > scalingTopSites {
-				snap.Sites = snap.Sites[:scalingTopSites]
-			}
-			if len(snap.CAS) > scalingTopCAS {
-				snap.CAS = snap.CAS[:scalingTopCAS]
-			}
-			pt.Sites = snap.Sites
-			pt.CAS = snap.CAS
 			series.Points = append(series.Points, pt)
 			progress.logf("scale %-4s x%-3d  %12.0f ops/s", name, n, pt.Throughput)
 		}
@@ -304,17 +154,6 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 			for i := range series.Points {
 				series.Points[i].Speedup = series.Points[i].Throughput / base
 			}
-		}
-		ns := make([]float64, len(series.Points))
-		xs := make([]float64, len(series.Points))
-		for i, pt := range series.Points {
-			ns[i] = float64(pt.Mutators)
-			xs[i] = pt.Throughput
-		}
-		if fit, err := FitUSL(ns, xs); err != nil {
-			series.FitNote = err.Error()
-		} else {
-			series.Fit = &fit
 		}
 		sweep.Series = append(sweep.Series, series)
 	}
@@ -329,23 +168,13 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 				reg.Gauge("hcsgc_scaling_speedup", helpScalingSpeedup,
 					"workload", s.Workload, "mutators", m).Set(pt.Speedup)
 			}
-			if s.Fit != nil {
-				reg.Gauge("hcsgc_scaling_usl_sigma", helpScalingSigma,
-					"workload", s.Workload).Set(s.Fit.Sigma)
-				reg.Gauge("hcsgc_scaling_usl_kappa", helpScalingKappa,
-					"workload", s.Workload).Set(s.Fit.Kappa)
-				reg.Gauge("hcsgc_scaling_usl_lambda", helpScalingLambda,
-					"workload", s.Workload).Set(s.Fit.Lambda)
-			}
 		}
 	}
 	return sweep, nil
 }
 
 // Validate checks structural well-formedness: every series covers the
-// full ladder in ascending order with positive throughput, each point's
-// ranked contention table is monotone (most-contended first), and a
-// successful fit is physical (λ > 0, σ, κ ≥ 0).
+// full ladder in ascending order with positive throughput.
 func (s *ScaleSweep) Validate() error {
 	if len(s.Series) == 0 {
 		return fmt.Errorf("bench: scale sweep has no series")
@@ -361,81 +190,27 @@ func (s *ScaleSweep) Validate() error {
 			if pt.Throughput <= 0 {
 				return fmt.Errorf("bench: %s x%d: non-positive throughput %g", ser.Workload, pt.Mutators, pt.Throughput)
 			}
-			for j := 1; j < len(pt.Sites); j++ {
-				if pt.Sites[j].Contended > pt.Sites[j-1].Contended {
-					return fmt.Errorf("bench: %s x%d: contention table not ranked: %q (%d) after %q (%d)",
-						ser.Workload, pt.Mutators,
-						pt.Sites[j].Name, pt.Sites[j].Contended,
-						pt.Sites[j-1].Name, pt.Sites[j-1].Contended)
-				}
-			}
-			for j := 1; j < len(pt.CAS); j++ {
-				if pt.CAS[j].Retries > pt.CAS[j-1].Retries {
-					return fmt.Errorf("bench: %s x%d: CAS table not ranked: %q after %q",
-						ser.Workload, pt.Mutators, pt.CAS[j].Name, pt.CAS[j-1].Name)
-				}
-			}
-		}
-		if ser.Fit == nil {
-			if len(s.Mutators) >= 3 {
-				return fmt.Errorf("bench: %s: USL fit failed: %s", ser.Workload, ser.FitNote)
-			}
-			continue
-		}
-		if ser.Fit.Lambda <= 0 || ser.Fit.Sigma < 0 || ser.Fit.Kappa < 0 {
-			return fmt.Errorf("bench: %s: unphysical USL fit %+v", ser.Workload, *ser.Fit)
 		}
 	}
 	return nil
 }
 
 // WriteText renders the sweep as text: per workload, the
-// throughput/speedup ladder with the top contended site at each width,
-// the USL coefficients, and the full ranked table at the widest point.
+// throughput/speedup/GC-cycle ladder with each width's core count.
 func (s *ScaleSweep) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== scaling sweep: mutators %v, scale %g, seed %d ===\n", s.Mutators, s.Scale, s.Seed)
 	for _, ser := range s.Series {
 		fmt.Fprintf(w, "\n--- %s ---\n", ser.Workload)
-		fmt.Fprintf(w, "%8s %14s %8s %8s %10s  %s\n",
-			"mutators", "ops/sec", "speedup", "gc", "imbalance", "top contended site")
+		fmt.Fprintf(w, "%8s %6s %14s %8s %8s\n", "mutators", "cores", "ops/sec", "speedup", "gc")
 		for _, pt := range ser.Points {
-			top := "-"
-			if len(pt.Sites) > 0 && pt.Sites[0].Contended > 0 {
-				t := pt.Sites[0]
-				top = fmt.Sprintf("%s (%d/%d, %.1f%%)", t.Name, t.Contended, t.Acquisitions, 100*t.ContendedFrac)
-			}
-			fmt.Fprintf(w, "%8d %14.0f %8.2f %8d %10.3f  %s\n",
-				pt.Mutators, pt.Throughput, pt.Speedup, pt.GCCycles, pt.Imbalance, top)
-		}
-		if ser.Fit != nil {
-			f := ser.Fit
-			fmt.Fprintf(w, "USL fit: lambda %.0f ops/s, sigma %.4f (contention), kappa %.6f (crosstalk), R2 %.3f",
-				f.Lambda, f.Sigma, f.Kappa, f.R2)
-			if f.PeakN > 0 {
-				fmt.Fprintf(w, ", predicted peak at %.0f mutators", f.PeakN)
-			}
-			fmt.Fprintln(w)
-		} else {
-			fmt.Fprintf(w, "USL fit: unavailable (%s)\n", ser.FitNote)
-		}
-		wide := ser.Points[len(ser.Points)-1]
-		fmt.Fprintf(w, "ranked contention, %d mutators:\n", wide.Mutators)
-		for _, site := range wide.Sites {
-			fmt.Fprintf(w, "  %-28s acq %10d  contended %8d (%5.1f%%)  wait p99 %8.0fns\n",
-				site.Name, site.Acquisitions, site.Contended, 100*site.ContendedFrac, site.WaitP99NS)
-		}
-		for _, c := range wide.CAS {
-			fmt.Fprintf(w, "  %-28s ops %10d  retries   %8d (%5.1f%%)  [cas]\n",
-				c.Name, c.Ops, c.Retries, 100*c.RetryFrac)
+			fmt.Fprintf(w, "%8d %6d %14.0f %8.2f %8d\n",
+				pt.Mutators, scalingMachine(pt.Mutators).Cores, pt.Throughput, pt.Speedup, pt.GCCycles)
 		}
 	}
 }
 
 // ScalingArtifact normalizes the sweep into the BENCH_scaling.json shape:
-// throughput per (workload, width) plus the USL coefficients. The
-// coefficients are informational (no better-direction) — σ moving says
-// the contention structure changed, which is a thing to look at, not
-// automatically a regression.
+// throughput per (workload, width).
 func ScalingArtifact(s *ScaleSweep) Artifact {
 	a := Artifact{
 		Experiment: "scaling",
@@ -452,13 +227,6 @@ func ScalingArtifact(s *ScaleSweep) Artifact {
 				Value:  pt.Throughput,
 				Better: "higher",
 			})
-		}
-		if ser.Fit != nil {
-			a.Metrics = append(a.Metrics,
-				BenchMetric{Name: ser.Workload + "/usl-sigma", Value: ser.Fit.Sigma},
-				BenchMetric{Name: ser.Workload + "/usl-kappa", Value: ser.Fit.Kappa},
-				BenchMetric{Name: ser.Workload + "/usl-lambda", Value: ser.Fit.Lambda},
-			)
 		}
 	}
 	return a

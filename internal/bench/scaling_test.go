@@ -2,96 +2,41 @@ package bench
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
+
+	"hcsgc"
+	"hcsgc/internal/machine"
 )
 
-// uslPoints evaluates the exact USL model on a ladder.
-func uslPoints(lambda, sigma, kappa float64, ladder []int) (ns, xs []float64) {
-	for _, n := range ladder {
-		fn := float64(n)
-		ns = append(ns, fn)
-		xs = append(xs, lambda*fn/(1+sigma*(fn-1)+kappa*fn*(fn-1)))
+// TestScalingMachineSweepsCores: every width keeps the laptop's spare
+// hardware threads beside its mutators, so no point oversubscribes the
+// machine and folds onto the core count.
+func TestScalingMachineSweepsCores(t *testing.T) {
+	if got, want := scalingMachine(1), hcsgc.LaptopMachine; got != want {
+		t.Errorf("x1 machine = %+v, want the laptop %+v", got, want)
 	}
-	return ns, xs
-}
-
-// TestFitUSLAmdahl: points generated from a pure-contention (Amdahl)
-// curve must recover sigma with kappa ~ 0 — the linearized fit is exact
-// on noiseless data.
-func TestFitUSLAmdahl(t *testing.T) {
-	const lambda, sigma = 1000.0, 0.08
-	ns, xs := uslPoints(lambda, sigma, 0, []int{1, 2, 4, 8, 16, 64})
-	fit, err := FitUSL(ns, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Sigma-sigma) > 1e-9 {
-		t.Errorf("sigma = %g, want %g", fit.Sigma, sigma)
-	}
-	if fit.Kappa > 1e-9 {
-		t.Errorf("kappa = %g, want ~0", fit.Kappa)
-	}
-	if math.Abs(fit.Lambda-lambda) > 1e-6 {
-		t.Errorf("lambda = %g, want %g", fit.Lambda, lambda)
-	}
-	if fit.R2 < 0.9999 {
-		t.Errorf("R2 = %g on noiseless data", fit.R2)
-	}
-	// Fitted kappa may be positive rounding residue; any resulting
-	// "peak" must then sit far outside the operating range.
-	if fit.PeakN != 0 && fit.PeakN < 1e4 {
-		t.Errorf("PeakN = %g: spurious interior peak on an Amdahl curve", fit.PeakN)
-	}
-}
-
-// TestFitUSLCrosstalk: with kappa > 0 the fit must recover both
-// coefficients, predict the inputs back, and place the interior peak at
-// sqrt((1-sigma)/kappa).
-func TestFitUSLCrosstalk(t *testing.T) {
-	const lambda, sigma, kappa = 500.0, 0.05, 0.002
-	ladder := []int{1, 2, 4, 8, 16, 32, 64}
-	ns, xs := uslPoints(lambda, sigma, kappa, ladder)
-	fit, err := FitUSL(ns, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Sigma-sigma) > 1e-9 || math.Abs(fit.Kappa-kappa) > 1e-9 {
-		t.Errorf("fit = sigma %g kappa %g, want %g %g", fit.Sigma, fit.Kappa, sigma, kappa)
-	}
-	wantPeak := math.Sqrt((1 - sigma) / kappa)
-	if math.Abs(fit.PeakN-wantPeak) > 1e-6 {
-		t.Errorf("PeakN = %g, want %g", fit.PeakN, wantPeak)
-	}
-	for i := range ns {
-		if math.Abs(fit.Predict(ns[i])-xs[i]) > 1e-6*xs[i] {
-			t.Errorf("Predict(%g) = %g, want %g", ns[i], fit.Predict(ns[i]), xs[i])
+	for _, n := range ScalingMutators {
+		m := scalingMachine(n)
+		if m.Cores != n+3 || m.CyclesPerSecond != hcsgc.LaptopMachine.CyclesPerSecond {
+			t.Errorf("x%d machine = %+v, want %d cores at the laptop clock", n, m, n+3)
 		}
-	}
-}
-
-// TestFitUSLErrors pins the failure modes: mismatched slices, too few
-// distinct mutator counts (zero-throughput points do not count).
-func TestFitUSLErrors(t *testing.T) {
-	if _, err := FitUSL([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("mismatched lengths must error")
-	}
-	if _, err := FitUSL([]float64{1, 2}, []float64{100, 150}); err == nil {
-		t.Error("two points must error (three unknowns)")
-	}
-	if _, err := FitUSL([]float64{1, 2, 4}, []float64{100, 150, 0}); err == nil {
-		t.Error("zero throughput drops the point; two left must error")
-	}
-	if _, err := FitUSL([]float64{2, 2, 2, 2}, []float64{10, 10, 10, 10}); err == nil {
-		t.Error("repeated mutator count must error")
+		// n equal mutators with GC work inside the spare capacity: the
+		// fold must hide the GC work, not serialise onto the cores.
+		l := machine.Ledger{MutatorCycles: make([]uint64, n), GCCycles: 2000}
+		for i := range l.MutatorCycles {
+			l.MutatorCycles[i] = 1000
+		}
+		if got := m.ExecCycles(l); got != 1000 {
+			t.Errorf("x%d: ExecCycles = %g, want 1000 (GC hidden on spare cores)", n, got)
+		}
 	}
 }
 
 // TestRunScaleSweepSmall runs the real sweep on a tiny ladder and checks
 // the structural contract end to end: validation passes, the fig4
-// checksum is mutator-count invariant, the ranked tables are monotone,
-// the text report and the normalized artifact carry the curve.
+// checksum is mutator-count invariant, and the text report and the
+// normalized artifact carry the curve.
 func TestRunScaleSweepSmall(t *testing.T) {
 	sweep, err := RunScaleSweep([]int{1, 2, 4}, 0.02, 7, nil, nil)
 	if err != nil {
@@ -104,13 +49,6 @@ func TestRunScaleSweepSmall(t *testing.T) {
 		t.Fatalf("series = %d, want fig4 + kv", len(sweep.Series))
 	}
 	for _, ser := range sweep.Series {
-		if ser.Fit == nil {
-			t.Errorf("%s: no USL fit on a 3-point ladder: %s", ser.Workload, ser.FitNote)
-			continue
-		}
-		if ser.Fit.Lambda <= 0 {
-			t.Errorf("%s: lambda = %g", ser.Workload, ser.Fit.Lambda)
-		}
 		if ser.Points[0].Speedup != 1 {
 			t.Errorf("%s: baseline speedup = %g, want 1", ser.Workload, ser.Points[0].Speedup)
 		}
@@ -126,7 +64,7 @@ func TestRunScaleSweepSmall(t *testing.T) {
 	var b bytes.Buffer
 	sweep.WriteText(&b)
 	out := b.String()
-	for _, want := range []string{"--- fig4 ---", "--- kv ---", "USL fit:", "ranked contention, 4 mutators:"} {
+	for _, want := range []string{"--- fig4 ---", "--- kv ---", "cores"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -150,7 +88,6 @@ func TestRunScaleSweepSmall(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fig4/x1/throughput", "fig4/x4/throughput", "kv/x2/throughput",
-		"fig4/usl-sigma", "kv/usl-lambda",
 	} {
 		if !names[want] {
 			t.Errorf("artifact missing metric %q (have %v)", want, names)

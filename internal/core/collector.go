@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
@@ -61,7 +60,7 @@ type Collector struct {
 	// cycle walks the mutators.
 	//
 	//hcsgc:lock-order 20
-	mutMu contention.Mutex
+	mutMu sync.Mutex
 	muts  map[*Mutator]struct{}
 	// allocBytesClosed folds closed mutators' allocation ledgers so the
 	// signal plane's alloc-rate delta survives mutator churn. Under mutMu.
@@ -71,7 +70,7 @@ type Collector struct {
 	// of the collector's locks, never held while taking mutMu or cycleMu.
 	//
 	//hcsgc:lock-order 30
-	medMu   contention.Mutex
+	medMu   sync.Mutex
 	medPage *heap.Page
 
 	// ecPages is the current relocation set; ecCursor is the worker claim
@@ -89,11 +88,8 @@ type Collector struct {
 	// which take mutMu and medMu underneath.
 	//
 	//hcsgc:lock-order 10
-	cycleMu contention.Mutex
+	cycleMu sync.Mutex
 	cycles  atomic.Uint64
-
-	// ctn is the contention attribution plane (nil when opted out).
-	ctn *contention.Plane
 
 	stats statsLog
 	tm    colTelemetry
@@ -151,11 +147,6 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	c.lat = cfg.Latency
 	c.sig = cfg.Signals
 	c.inj = cfg.FaultInjector
-	c.ctn = cfg.Contention
-	c.cycleMu.Instrument(c.ctn.NewSite("core.cycleMu"))
-	c.mutMu.Instrument(c.ctn.NewSite("core.mutMu"))
-	c.medMu.Instrument(c.ctn.NewSite("core.medMu"))
-	c.pool.ops = c.ctn.NewOpSite("core.markPool")
 	c.good.Store(uint64(heap.ColorRemapped))
 	c.phase.Store(uint32(PhaseRelocate))
 	c.setEffConf(cfg.Knobs.ColdConfidence)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/locality"
 	"hcsgc/internal/signals"
@@ -157,13 +156,6 @@ type Config struct {
 	// it (one predictable branch at the cycle boundary plus one per
 	// allocation for the alloc-rate ledger).
 	Signals *signals.Plane
-	// Contention is the optional contention attribution plane: the
-	// collector's locks, CAS loops and GC workers report to it, and at
-	// every cycle boundary the collector folds its per-cycle delta into
-	// the signal record. Nil disables it (one predictable branch per
-	// site). Pass the same plane to the heap via heap.Config.Contention
-	// and to the hierarchy via Hierarchy.SetContention.
-	Contention *contention.Plane
 	// FaultInjector arms the fault-injection plane at the collector's
 	// injection points (relocation race, barrier slow path, safepoint
 	// entry, page retire, driver trigger). Nil — the default — costs one

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"hcsgc/internal/contention"
-)
+import "sync"
 
 // markPool is the shared gray-object pool for parallel marking. Workers
 // keep thread-local stacks and spill/steal chunks here; mutators flush
@@ -12,12 +8,8 @@ import (
 // also provides the quiescence signal used to attempt mark termination at
 // STW2.
 type markPool struct {
-	// mu stays a plain sync.Mutex (the condition variable binds to it);
-	// the pool's serialization is attributed through the ops site
-	// instead: one Op per transfer, one Retry per get that had to park.
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ops    *contention.OpSite
 	chunks [][]uint64
 	// active counts workers currently holding local work; waiting counts
 	// workers parked in get.
@@ -37,7 +29,6 @@ func (p *markPool) put(chunk []uint64) {
 	if len(chunk) == 0 {
 		return
 	}
-	p.ops.Op()
 	p.mu.Lock()
 	p.chunks = append(p.chunks, chunk)
 	p.cond.Broadcast()
@@ -51,9 +42,6 @@ func (p *markPool) get() []uint64 {
 	defer p.mu.Unlock()
 	p.active--
 	p.cond.Broadcast() // collector may be watching for quiescence
-	if len(p.chunks) == 0 && !p.terminated {
-		p.ops.Retry() // out of work: this get parks until a put or mark end
-	}
 	for len(p.chunks) == 0 && !p.terminated {
 		p.cond.Wait()
 	}
@@ -63,7 +51,6 @@ func (p *markPool) get() []uint64 {
 	chunk := p.chunks[len(p.chunks)-1]
 	p.chunks = p.chunks[:len(p.chunks)-1]
 	p.active++
-	p.ops.Op()
 	return chunk
 }
 

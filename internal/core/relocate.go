@@ -37,9 +37,6 @@ type relocCtx struct {
 	// extra accumulates non-memory cycle costs charged to this context.
 	// Atomic: aggregate statistics snapshot it while the owner works.
 	extra atomic.Uint64
-	// relocated counts forwarding races this context won, for the
-	// contention plane's worker-balance accounting.
-	relocated atomic.Uint64
 }
 
 // relocTargetSmall returns a destination address for a small object of the
@@ -121,7 +118,6 @@ func (c *Collector) relocateObject(ctx *relocCtx, addr uint64, p *heap.Page) uin
 		ctx.undoTarget(dst, size)
 		return final
 	}
-	ctx.relocated.Add(1)
 	who := telemetry.RelocByGC
 	if ctx.byMutator {
 		c.stats.addMutatorReloc(size)

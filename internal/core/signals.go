@@ -1,7 +1,6 @@
 package core
 
 import (
-	"hcsgc/internal/contention"
 	"hcsgc/internal/signals"
 	"hcsgc/internal/telemetry/latency"
 )
@@ -30,13 +29,6 @@ func (c *Collector) allocBytesTotal() uint64 {
 // profiler's per-cycle interval and after the latency tracker completed
 // the flight record.
 func (c *Collector) recordSignals(cs *CycleStats, flight latency.CycleRecord) {
-	// The contention plane ingests the cycle regardless of whether the
-	// signal plane consumes the delta: /contention and the metric
-	// families stay live even with signals opted out.
-	var ctnDelta contention.CycleDelta
-	if c.ctn != nil {
-		ctnDelta = c.ctn.OnCycle(cs.Seq, c.workerTotals())
-	}
 	if c.sig == nil {
 		return
 	}
@@ -80,55 +72,14 @@ func (c *Collector) recordSignals(cs *CycleStats, flight latency.CycleRecord) {
 		}
 	}
 
-	var ws signals.WorkerSignals
-	var cns signals.ContentionSignals
-	if c.ctn != nil {
-		ws = signals.WorkerSignals{
-			Present:   true,
-			Workers:   ctnDelta.Workers,
-			Imbalance: ctnDelta.Imbalance,
-			Scanned:   ctnDelta.Scanned,
-			Relocated: ctnDelta.Relocated,
-			Steals:    ctnDelta.Steals,
-		}
-		cns = signals.ContentionSignals{
-			Present:       true,
-			Acquisitions:  ctnDelta.Acquisitions,
-			Contended:     ctnDelta.Contended,
-			ContendedFrac: ctnDelta.ContendedFrac,
-			CASOps:        ctnDelta.CASOps,
-			CASRetries:    ctnDelta.CASRetries,
-			RetryFrac:     ctnDelta.RetryFrac,
-		}
-	}
-
 	c.sig.OnCycle(signals.CycleSignals{
-		Seq:        cs.Seq,
-		Trigger:    cs.Trigger,
-		VStart:     flight.VStart,
-		VEnd:       flight.VEnd,
-		Flight:     flight,
-		Heap:       hs,
-		Locality:   ls,
-		Workers:    ws,
-		Contention: cns,
-		StallDist:  c.lat.StallDist(),
+		Seq:       cs.Seq,
+		Trigger:   cs.Trigger,
+		VStart:    flight.VStart,
+		VEnd:      flight.VEnd,
+		Flight:    flight,
+		Heap:      hs,
+		Locality:  ls,
+		StallDist: c.lat.StallDist(),
 	})
-}
-
-// workerTotals snapshots every GC worker's cumulative balance counters
-// for the contention plane.
-func (c *Collector) workerTotals() []contention.WorkerTotals {
-	totals := make([]contention.WorkerTotals, len(c.workers))
-	for i, w := range c.workers {
-		totals[i] = contention.WorkerTotals{
-			Scanned:   w.scanned.Load(),
-			Relocated: w.ctx.relocated.Load(),
-			Steals:    w.steals.Load(),
-		}
-		if w.core != nil {
-			totals[i].BusyCycles = w.core.Cycles()
-		}
-	}
-	return totals
 }

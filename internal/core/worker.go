@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
 	"hcsgc/internal/simmem"
@@ -20,11 +18,6 @@ type gcWorker struct {
 	ctx  *relocCtx
 	// local is the thread-local gray stack.
 	local []uint64
-	// scanned/steals are cumulative balance counters for the contention
-	// plane (relocations are counted on ctx). Atomic: the plane snapshots
-	// them at cycle boundaries while lazy-mode drains may still run.
-	scanned atomic.Uint64
-	steals  atomic.Uint64
 }
 
 // spillThreshold bounds the local gray stack before spilling half to the
@@ -50,7 +43,6 @@ func (w *gcWorker) markLoop() {
 		if chunk == nil {
 			return
 		}
-		w.steals.Add(1)
 		w.local = append(w.local, chunk...)
 		for len(w.local) > 0 {
 			addr := w.local[len(w.local)-1]
@@ -73,7 +65,6 @@ func (w *gcWorker) markLoop() {
 //
 //hcsgc:gc-thread
 func (w *gcWorker) scanObject(addr uint64) {
-	w.scanned.Add(1)
 	c := w.c
 	header := c.heap.LoadWord(w.core, addr)
 	sizeWords, typeID := objmodel.DecodeHeader(header)

@@ -1,10 +1,6 @@
 package heap
 
-import (
-	"sync/atomic"
-
-	"hcsgc/internal/contention"
-)
+import "sync/atomic"
 
 // ForwardTable maps the word offsets of relocated objects on one evacuated
 // page to their new addresses. It is a lock-free open-addressing hash table
@@ -17,9 +13,6 @@ type ForwardTable struct {
 	vals []atomic.Uint64 // new address; 0 = claim in progress
 	mask uint64
 	used atomic.Int64
-	// cas attributes slot-claim races to the contention plane (nil when
-	// opted out).
-	cas *contention.OpSite
 }
 
 // NewForwardTable builds a table with capacity for at least n entries.
@@ -54,17 +47,14 @@ func (t *ForwardTable) Insert(off uint64, newAddr uint64) (addr uint64, won bool
 	for {
 		k := t.keys[i].Load()
 		if k == key {
-			t.cas.Op()
 			return t.waitVal(i), false
 		}
 		if k == 0 {
 			if t.keys[i].CompareAndSwap(0, key) {
 				t.vals[i].Store(newAddr)
 				t.used.Add(1)
-				t.cas.Op()
 				return newAddr, true
 			}
-			t.cas.Retry()
 			continue // re-examine the slot we lost
 		}
 		i = (i + 1) & t.mask

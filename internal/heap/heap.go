@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/simmem"
 	"hcsgc/internal/telemetry"
@@ -36,10 +35,6 @@ type Config struct {
 	// injection points (page commit/free, UndoAlloc). Nil costs one branch
 	// per site.
 	Injector *faultinject.Injector
-	// Contention, when non-nil, attributes the page-allocator lock and
-	// the heap's CAS loops (page bump pointers, forwarding tables) to
-	// the contention plane. Nil costs one branch per site.
-	Contention *contention.Plane
 }
 
 func (c *Config) withDefaults() Config {
@@ -75,14 +70,9 @@ type Heap struct {
 	// hierarchy, never held while calling back out of the package.
 	//
 	//hcsgc:lock-order 40
-	mu    contention.Mutex
+	mu    sync.Mutex
 	live  map[*Page]struct{} // active (non-freed) pages, for EC iteration
 	pools map[Class]*sync.Pool
-
-	// casAlloc/casFwd attribute the heap-wide CAS loops; copied into
-	// each page so the hot loops need no heap back-pointer.
-	casAlloc *contention.OpSite
-	casFwd   *contention.OpSite
 
 	// PagesAllocated / PagesFreed are lifetime counters for reporting.
 	PagesAllocated atomic.Uint64
@@ -112,9 +102,6 @@ func New(cfg Config, mem *simmem.Hierarchy) *Heap {
 		inj:       cfg.Injector,
 	}
 	h.nextGranule.Store(1)
-	h.mu.Instrument(cfg.Contention.NewSite("heap.mu"))
-	h.casAlloc = cfg.Contention.NewOpSite("heap.pageBump")
-	h.casFwd = cfg.Contention.NewOpSite("heap.forwardTable")
 	for _, cl := range []Class{ClassTiny, ClassSmall, ClassMedium} {
 		size := pageSizeOf(cl)
 		h.pools[cl] = &sync.Pool{New: func() any { return make([]uint64, size/WordSize) }}
@@ -213,8 +200,6 @@ func (h *Heap) installPageForced(size uint64, class Class, backing []uint64) (*P
 	}
 	p := newPage(g*Granule, size, class, h.seq.Add(1), backing)
 	p.inj = h.inj
-	p.casAlloc = h.casAlloc
-	p.casFwd = h.casFwd
 	for i := uint64(0); i < nGran; i++ {
 		h.pageTable[g+i].Store(p)
 	}

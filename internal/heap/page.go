@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 )
 
@@ -97,11 +96,6 @@ type Page struct {
 	// here so UndoAlloc's race window can be perturbed without a heap
 	// back-pointer.
 	inj *faultinject.Injector
-	// casAlloc/casFwd are the heap-wide CAS attribution sites for the
-	// bump-pointer and forwarding-table loops (nil when the contention
-	// plane is opted out).
-	casAlloc *contention.OpSite
-	casFwd   *contention.OpSite
 }
 
 // newPage wires a page over a fresh address range with a backing slice.
@@ -146,10 +140,8 @@ func (p *Page) AllocRaw(size uint64) uint64 {
 			return 0
 		}
 		if p.top.CompareAndSwap(old, old+size) {
-			p.casAlloc.Op()
 			return old
 		}
-		p.casAlloc.Retry()
 	}
 }
 
@@ -284,9 +276,7 @@ func (p *Page) WeightedLiveBytes(coldConfidence float64) uint64 {
 // live-object count and flags the page as an evacuation candidate.
 func (p *Page) SelectForEvacuation() {
 	n := int(p.liveObjects.Load())
-	t := NewForwardTable(n)
-	t.cas = p.casFwd
-	p.fwd.Store(t)
+	p.fwd.Store(NewForwardTable(n))
 	p.remaining.Store(int64(n))
 	p.inEC.Store(true)
 }

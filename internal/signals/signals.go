@@ -127,33 +127,6 @@ type LocalitySignals struct {
 	SegPurity         float64 `json:"seg_purity"`
 }
 
-// WorkerSignals is the GC-worker balance section of a CycleSignals
-// record: the contention plane's per-cycle delta of the workers'
-// scanned/relocated/stolen counts and its imbalance coefficient
-// (stddev/mean of per-worker work; 0 = perfectly balanced). Present is
-// false (fields zero) when the contention plane is opted out.
-type WorkerSignals struct {
-	Present   bool    `json:"present"`
-	Workers   int     `json:"workers"`
-	Imbalance float64 `json:"imbalance"`
-	Scanned   uint64  `json:"scanned"`
-	Relocated uint64  `json:"relocated"`
-	Steals    uint64  `json:"steals"`
-}
-
-// ContentionSignals is the serialization section of a CycleSignals
-// record: the contention plane's per-cycle lock and CAS-loop deltas
-// summed across sites. Present is false when the plane is opted out.
-type ContentionSignals struct {
-	Present       bool    `json:"present"`
-	Acquisitions  uint64  `json:"acquisitions"`
-	Contended     uint64  `json:"contended"`
-	ContendedFrac float64 `json:"contended_frac"`
-	CASOps        uint64  `json:"cas_ops"`
-	CASRetries    uint64  `json:"cas_retries"`
-	RetryFrac     float64 `json:"retry_frac"`
-}
-
 // DerivedSignal is one scalar signal's derived view: the raw per-cycle
 // value, its EWMA level, and the trend (EWMA delta vs the previous
 // cycle; positive = rising). The controller input contract.
@@ -184,11 +157,6 @@ type CycleSignals struct {
 	Heap     HeapSignals     `json:"heap"`
 	Locality LocalitySignals `json:"locality"`
 
-	// Workers and Contention are the contention plane's per-cycle view
-	// (zero-valued, Present=false, when the plane is opted out).
-	Workers    WorkerSignals     `json:"workers"`
-	Contention ContentionSignals `json:"contention"`
-
 	// StallDist is the cumulative allocation-stall duration distribution
 	// as of this cycle end (the signal PR 6 found dominates the tail).
 	StallDist latency.Dist `json:"stall_dist"`
@@ -213,9 +181,6 @@ const (
 	SigReuseP50        = "reuse_p50_lines"
 	SigStreamCoverage  = "stream_coverage"
 	SigSegPurity       = "seg_purity"
-	SigWorkerImbalance = "worker_imbalance"
-	SigLockContention  = "lock_contended_frac"
-	SigCASRetryRate    = "cas_retry_frac"
 )
 
 // DerivedOrder is the deterministic emission order of the derived
@@ -224,7 +189,6 @@ var DerivedOrder = []string{
 	SigUtilization, SigMaxPause, SigStalls, SigStallP99,
 	SigAllocRate, SigHeapUsed, SigColdFrac, SigBarrierSlowRate,
 	SigReuseP50, SigStreamCoverage, SigSegPurity,
-	SigWorkerImbalance, SigLockContention, SigCASRetryRate,
 }
 
 // The anomaly flags, in report order.
@@ -327,13 +291,6 @@ func rawSignals(rec *CycleSignals) map[string]float64 {
 		out[SigReuseP50] = rec.Locality.ReuseP50
 		out[SigStreamCoverage] = rec.Locality.StreamCoverage
 		out[SigSegPurity] = rec.Locality.SegPurity
-	}
-	if rec.Workers.Present {
-		out[SigWorkerImbalance] = rec.Workers.Imbalance
-	}
-	if rec.Contention.Present {
-		out[SigLockContention] = rec.Contention.ContendedFrac
-		out[SigCASRetryRate] = rec.Contention.RetryFrac
 	}
 	return out
 }

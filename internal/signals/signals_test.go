@@ -154,9 +154,6 @@ func TestPlaneFlags(t *testing.T) {
 	bad.Flight.Pause2 = 300_000
 	bad.Heap.UsedAfterPct = 92
 	bad.Locality.SegPurity = 0.2
-	bad.Contention = ContentionSignals{
-		Present: true, Acquisitions: 100, Contended: 40, ContendedFrac: 0.4,
-	}
 	p.OnCycle(bad)
 	latest, _ := p.Latest()
 	got := strings.Join(latest.Flags, ",")

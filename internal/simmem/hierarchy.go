@@ -3,9 +3,8 @@ package simmem
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
-
-	"hcsgc/internal/contention"
 )
 
 // Latencies gives the access cost, in CPU cycles, of a hit at each level of
@@ -39,9 +38,8 @@ type HierarchyConfig struct {
 	// hit/miss behaviour is identical to the monolithic cache (high set
 	// bits pick the stripe, low bits the set within it). Must be a power
 	// of two no larger than the LLC set count; 0 selects the default
-	// (8, clamped to the set count). 1 restores the single global lock —
-	// the configuration the contention plane measured before this knob
-	// existed.
+	// (8, clamped to the set count). 1 restores the single global lock,
+	// which equivalence tests use as the reference partition.
 	LLCStripes int
 }
 
@@ -92,7 +90,7 @@ type Core struct {
 // keeps neighbouring stripe locks off the same cache line (of the real
 // machine, not the simulated one).
 type llcStripe struct {
-	mu contention.Mutex
+	mu sync.Mutex
 	c  *Cache
 	_  [64]byte
 }
@@ -110,7 +108,7 @@ type Hierarchy struct {
 	setMask     uint64
 	stripeShift uint
 
-	coresMu contention.Mutex
+	coresMu sync.Mutex
 	cores   []*Core
 }
 
@@ -148,17 +146,6 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 		h.stripes[i].c = MustNewCache(sub)
 	}
 	return h, nil
-}
-
-// SetContention attributes the hierarchy's shared locks to the plane.
-// All stripes share one "simmem.llcMu" site so contended counts stay
-// comparable across stripe configurations. Call before any core exists.
-func (h *Hierarchy) SetContention(p *contention.Plane) {
-	llc := p.NewSite("simmem.llcMu")
-	for i := range h.stripes {
-		h.stripes[i].mu.Instrument(llc)
-	}
-	h.coresMu.Instrument(p.NewSite("simmem.coresMu"))
 }
 
 // stripeOf maps an address to its LLC stripe index. The set partition

@@ -111,7 +111,7 @@ func TestSinkEndpoints(t *testing.T) {
 func TestSinkIndex(t *testing.T) {
 	sink := NewSink()
 	sink.Publish("signals", func() any { return []int{1, 2} })
-	sink.Publish("contention", func() any { return map[string]string{"top": "heap.mu"} })
+	sink.Publish("locality", func() any { return map[string]float64{"seg_purity": 0.5} })
 	sink.Publish("signals", func() any { return []int{3} }) // latest publisher wins
 
 	srv := httptest.NewServer(sink.Handler())
@@ -126,7 +126,7 @@ func TestSinkIndex(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	want := append(append([]string(nil), BuiltinPaths...), "/contention", "/signals")
+	want := append(append([]string(nil), BuiltinPaths...), "/locality", "/signals")
 	_, index := get("/")
 	got := strings.Fields(index)
 	if strings.Join(got, " ") != strings.Join(want, " ") {

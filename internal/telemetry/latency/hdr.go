@@ -60,9 +60,8 @@ func slotUpper(i int) uint64 {
 	return ((sub + 1) << shift) - 1
 }
 
-// Record adds one sample. Barrier slow paths and the contention plane's
-// lock wait accounting call this from allocation-free code, so it must
-// stay pure atomics.
+// Record adds one sample. Barrier slow paths call this from
+// allocation-free code, so it must stay pure atomics.
 //
 //hcsgc:alloc-free
 func (h *Hist) Record(v uint64) {

@@ -172,31 +172,6 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	// muAcq/muContended feed the contention plane: the registry cannot
-	// adopt contention.Mutex (import cycle through telemetry/latency),
-	// so it self-reports through Plane.AddSource instead.
-	muAcq       atomic.Uint64
-	muContended atomic.Uint64
-}
-
-// lock acquires r.mu, counting the acquisition and whether it had to
-// block, mirroring contention.Mutex's fast path.
-func (r *Registry) lock() {
-	r.muAcq.Add(1)
-	if r.mu.TryLock() {
-		return
-	}
-	r.muContended.Add(1)
-	r.lock()
-}
-
-// MuStats reports cumulative registry-mutex acquisitions and contended
-// acquisitions for the contention plane.
-func (r *Registry) MuStats() (acquisitions, contended uint64) {
-	if r == nil {
-		return 0, 0
-	}
-	return r.muAcq.Load(), r.muContended.Load()
 }
 
 // NewRegistry builds an empty registry.
@@ -249,7 +224,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.family(name, help, kindCounter)
 	key := labelKey(labels)
@@ -267,7 +242,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.family(name, help, kindGauge)
 	key := labelKey(labels)
@@ -286,7 +261,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	if r == nil {
 		return nil
 	}
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.family(name, help, kindHistogram)
 	key := labelKey(labels)
@@ -309,7 +284,7 @@ func (r *Registry) Summary(name, help string, src QuantileSource, labels ...stri
 	if r == nil {
 		return
 	}
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.family(name, help, kindSummary)
 	key := labelKey(labels)
@@ -323,7 +298,7 @@ func (r *Registry) Summary(name, help string, src QuantileSource, labels ...stri
 
 // sortedFamilies snapshots the family list sorted by name.
 func (r *Registry) sortedFamilies() []*family {
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {

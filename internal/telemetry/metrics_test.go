@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNilMetricsAreSafe(t *testing.T) {
@@ -198,5 +200,36 @@ func TestExpBuckets(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ExpBuckets = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestRegistryLookupParksWhileLocked: a lookup that finds the registry
+// lock held waits parked in sync.Mutex.Lock instead of spinning on
+// TryLock.
+func TestRegistryLookupParksWhileLocked(t *testing.T) {
+	reg := NewRegistry()
+	reg.mu.Lock()
+	done := make(chan *Counter)
+	go func() { done <- reg.Counter("hcsgc_test_total", "help") }()
+
+	var waiter string
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		all := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(all, "\n\n") {
+			if strings.Contains(g, "(*Registry).Counter") {
+				waiter = g
+			}
+		}
+		if strings.Contains(waiter, "sync.(*Mutex).Lock") {
+			break
+		}
+	}
+	reg.mu.Unlock()
+	if c := <-done; c == nil {
+		t.Fatal("lookup returned no counter")
+	}
+	if !strings.Contains(waiter, "sync.(*Mutex).Lock") {
+		t.Fatalf("waiter not parked in sync.(*Mutex).Lock:\n%s", waiter)
 	}
 }

@@ -96,12 +96,6 @@ const (
 	CounterSignalStallP99
 	CounterSignalHeapUsed
 	CounterSignalColdFrac
-	// The contention plane's per-cycle counters
-	// (CounterContentionContended..CounterWorkerImbalance must stay
-	// contiguous).
-	CounterContentionContended
-	CounterContentionCASRetries
-	CounterWorkerImbalance
 )
 
 // CounterName renders a CounterID as its Perfetto track name.
@@ -133,12 +127,6 @@ func CounterName(id uint32) string {
 		return "signal_heap_used_pct"
 	case CounterSignalColdFrac:
 		return "signal_cold_frac"
-	case CounterContentionContended:
-		return "contention_contended_acq"
-	case CounterContentionCASRetries:
-		return "contention_cas_retries"
-	case CounterWorkerImbalance:
-		return "contention_worker_imbalance"
 	default:
 		return "counter"
 	}
@@ -146,9 +134,6 @@ func CounterName(id uint32) string {
 
 // counterCat is the trace category of an EvCounter series.
 func counterCat(id uint32) string {
-	if id >= CounterContentionContended && id <= CounterWorkerImbalance {
-		return "contention"
-	}
 	if id >= CounterSignalAllocRate && id <= CounterSignalColdFrac {
 		return "signals"
 	}

@@ -65,12 +65,8 @@ type RunConfig struct {
 	// DisableSignals turns the signal plane off for the run (overhead
 	// baselines).
 	DisableSignals bool
-	// Contention overrides the run's contention attribution plane (nil =
-	// the runtime builds a default one; the plane is always-on). The
-	// caller keeps the handle and reads the snapshot after the run.
-	Contention *hcsgc.ContentionPlane
-	// DisableContention turns the contention plane off for the run
-	// (overhead baselines).
+	// DisableContention has no effect. It is kept only so that callers
+	// which still set it keep compiling.
 	DisableContention bool
 	// Mutators sets the number of mutator threads for workloads that
 	// scale across them (the fig4 synthetic and the KV server; 0 = the
@@ -211,28 +207,26 @@ func newEnv(cfg RunConfig, heapDefault uint64, rootSlots int) *env {
 		mach = machine.Laptop()
 	}
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
-		HeapMaxBytes:      heapBytes,
-		Knobs:             cfg.Knobs,
-		GCWorkers:         cfg.GCWorkers,
-		TriggerPercent:    cfg.TriggerPercent,
-		EvacThreshold:     cfg.EvacThreshold,
-		Machine:           mach,
-		MemConfig:         cfg.MemConfig,
-		DisableMemModel:   cfg.DisableMem,
-		StartDriver:       true,
-		Telemetry:         cfg.Telemetry,
-		Locality:          cfg.Locality,
-		Latency:           cfg.Latency,
-		DisableLatency:    cfg.DisableLatency,
-		Signals:           cfg.Signals,
-		DisableSignals:    cfg.DisableSignals,
-		Contention:        cfg.Contention,
-		DisableContention: cfg.DisableContention,
-		FaultInjector:     cfg.FaultInjector,
-		Verifier:          cfg.Verifier,
-		StallRetries:      cfg.StallRetries,
-		StallBackoff:      cfg.StallBackoff,
-		StallDeadline:     cfg.StallDeadline,
+		HeapMaxBytes:    heapBytes,
+		Knobs:           cfg.Knobs,
+		GCWorkers:       cfg.GCWorkers,
+		TriggerPercent:  cfg.TriggerPercent,
+		EvacThreshold:   cfg.EvacThreshold,
+		Machine:         mach,
+		MemConfig:       cfg.MemConfig,
+		DisableMemModel: cfg.DisableMem,
+		StartDriver:     true,
+		Telemetry:       cfg.Telemetry,
+		Locality:        cfg.Locality,
+		Latency:         cfg.Latency,
+		DisableLatency:  cfg.DisableLatency,
+		Signals:         cfg.Signals,
+		DisableSignals:  cfg.DisableSignals,
+		FaultInjector:   cfg.FaultInjector,
+		Verifier:        cfg.Verifier,
+		StallRetries:    cfg.StallRetries,
+		StallBackoff:    cfg.StallBackoff,
+		StallDeadline:   cfg.StallDeadline,
 	})
 	return &env{rt: rt, m: rt.NewMutator(rootSlots), cfg: cfg}
 }

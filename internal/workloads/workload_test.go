@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"errors"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -202,45 +201,30 @@ func TestFig4ChecksumMutatorInvariant(t *testing.T) {
 }
 
 // TestWorkerBalanceUnderInjectedDelay: with multiple GC workers, a
-// relocating configuration, and the injector delaying relocation
-// inserts, the contention plane must still attribute per-worker totals
-// and a finite imbalance coefficient. Structural assertions only — the
-// injected yields skew the split, they do not make it predictable.
+// relocating configuration, and the injector delaying relocation inserts,
+// the skewed worker split and the widened mutator-vs-GC relocation races
+// must not change program results: the checksum matches the same run
+// without injection.
 func TestWorkerBalanceUnderInjectedDelay(t *testing.T) {
-	ctn := hcsgc.NewContentionPlane()
+	w := mustGet(t, "fig4")
+	cfg := RunConfig{
+		Knobs:     hcsgc.Knobs{RelocateAllSmallPages: true},
+		Seed:      1,
+		Scale:     0.03,
+		Mutators:  4,
+		GCWorkers: 2,
+	}
+	plain := mustRun(t, w, cfg)
 	fcfg := hcsgc.FaultConfig{Seed: 3}
 	fcfg.Delay[faultinject.RelocInsert] = 0.8
-	res := mustRun(t, mustGet(t, "fig4"), RunConfig{
-		Knobs:         hcsgc.Knobs{RelocateAllSmallPages: true},
-		Seed:          1,
-		Scale:         0.03,
-		Mutators:      4,
-		GCWorkers:     2,
-		Contention:    ctn,
-		FaultInjector: hcsgc.NewFaultInjector(fcfg),
-	})
-	if res.GCCycleCount == 0 {
-		t.Fatal("no GC cycles: the balance plane never sampled")
+	inj := hcsgc.NewFaultInjector(fcfg)
+	cfg.FaultInjector = inj
+	delayed := mustRun(t, w, cfg)
+	if inj.Fired(faultinject.RelocInsert) == 0 {
+		t.Fatal("the injected relocation delay never fired")
 	}
-	snap := ctn.Snapshot()
-	if snap.Cycles == 0 {
-		t.Fatal("contention plane saw no cycles")
-	}
-	if len(snap.Workers) != 2 {
-		t.Fatalf("worker snapshots = %d, want 2", len(snap.Workers))
-	}
-	var scanned uint64
-	for _, w := range snap.Workers {
-		scanned += w.Scanned
-	}
-	if scanned == 0 {
-		t.Error("no objects attributed to any worker")
-	}
-	if math.IsNaN(snap.Imbalance) || snap.Imbalance < 0 {
-		t.Errorf("imbalance = %g, want finite >= 0", snap.Imbalance)
-	}
-	if len(snap.Sites) == 0 {
-		t.Error("no lock sites instrumented")
+	if delayed.Check != plain.Check {
+		t.Errorf("checksum %d under injected relocation delay != %d without", delayed.Check, plain.Check)
 	}
 }
 
