@@ -265,14 +265,18 @@ type Options struct {
 	// always-on unless DisableLatency is set.
 	Latency *LatencyTracker
 	// DisableLatency turns the latency-attribution plane off entirely
-	// (each instrumentation site then costs one predictable branch).
+	// (each instrumentation site then costs one predictable branch). It
+	// changes host cost only: the virtual clock, pause and stall
+	// accounting run the same without the plane.
 	DisableLatency bool
 	// Signals overrides the unified signal plane. Nil = the runtime
 	// builds one with default configuration; the plane is always-on
 	// unless DisableSignals is set.
 	Signals *SignalPlane
 	// DisableSignals turns the signal plane off entirely (the cycle
-	// boundary and each allocation then cost one predictable branch).
+	// boundary then costs one predictable branch). It changes host cost
+	// only: the allocation ledger and the mark-end measurements run the
+	// same without the plane.
 	DisableSignals bool
 	// FaultInjector arms the fault-injection plane (nil = disarmed; each
 	// injection point then costs one predictable branch).

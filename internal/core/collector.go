@@ -63,7 +63,7 @@ type Collector struct {
 	mutMu sync.Mutex
 	muts  map[*Mutator]struct{}
 	// allocBytesClosed folds closed mutators' allocation ledgers so the
-	// signal plane's alloc-rate delta survives mutator churn. Under mutMu.
+	// runtime-wide allocation total survives mutator churn. Under mutMu.
 	allocBytesClosed uint64
 
 	// Shared medium-page allocation (mutators and relocation); leaf-side
@@ -102,8 +102,7 @@ type Collector struct {
 	// watchdogFired counts STW watchdog reports (the pause kept waiting).
 	watchdogFired atomic.Uint64
 	// vclock is the virtual-timeline high-water mark in simulated cycles:
-	// the max attached-mutator ledger plus accumulated pause cost. Only
-	// maintained when lat is attached.
+	// the max attached-mutator ledger plus accumulated pause cost.
 	vclock     atomic.Uint64
 	pauseTotal atomic.Uint64
 	// stallCount counts allocation stalls runtime-wide; lastStalls /
@@ -215,10 +214,7 @@ func (c *Collector) runCycle(reason string) {
 	cs := &CycleStats{Seq: c.cycles.Load() + 1, Trigger: reason,
 		HeapUsedBefore: c.heap.UsedPercent(), HotmapDensity: -1}
 	c.tm.rec.BeginSpan(telemetry.SpanCycle, collectorTID)
-	var vCycleStart uint64
-	if c.lat != nil || c.sig != nil {
-		vCycleStart = c.virtualNow()
-	}
+	vCycleStart := c.VirtualCycles()
 
 	// --- RE completion. In lazy mode the GC-thread share of relocation
 	// was deferred to now (paper Fig. 3: "a GC cycle starts with RE");
@@ -234,7 +230,7 @@ func (c *Collector) runCycle(reason string) {
 	c.stopTheWorldTimed(telemetry.SpanPause1)
 	c.tm.rec.BeginSpan(telemetry.SpanPause1, collectorTID)
 	pause1 := c.beginPauseAccounting()
-	v1 := c.pauseStartClock()
+	v1 := c.VirtualCycles()
 	c.startSeq.Store(c.heap.CurrentSeq())
 	markColor := heap.ColorMarked0
 	if c.markColorM1 {
@@ -264,10 +260,7 @@ func (c *Collector) runCycle(reason string) {
 	c.sp.resumeTheWorld()
 
 	// --- M/R: concurrent parallel marking with mutator assistance.
-	var vMark uint64
-	if c.lat != nil {
-		vMark = c.virtualNow()
-	}
+	vMark := c.VirtualCycles()
 	c.tm.rec.BeginSpan(telemetry.SpanMark, collectorTID)
 	var markWG sync.WaitGroup
 	for _, w := range c.workers {
@@ -296,12 +289,10 @@ func (c *Collector) runCycle(reason string) {
 		c.sp.resumeTheWorld()
 	}
 	c.tm.rec.EndSpan(telemetry.SpanMark, collectorTID)
-	if c.lat != nil {
-		c.lat.RecordPhase(latency.PhaseMark, vMark, c.virtualNow())
-	}
+	c.lat.RecordPhase(latency.PhaseMark, vMark, c.VirtualCycles())
 	c.tm.rec.BeginSpan(telemetry.SpanPause2, collectorTID)
 	pause2 := c.beginPauseAccounting()
-	v2 := c.pauseStartClock()
+	v2 := c.VirtualCycles()
 	c.pool.terminate()
 	markWG.Wait()
 	// Mark end: no stale pointers remain in the heap, so the previous
@@ -314,28 +305,22 @@ func (c *Collector) runCycle(reason string) {
 	c.recordPauseLatency(1, v2, cs.Pause2)
 	cs.MarkedBytes = c.totalMarkedBytes()
 	c.recordMarkEnd(cs)
-	c.recordSegregation(cs)
 	c.verifyHeap("stw2")
 	c.tm.rec.EndSpan(telemetry.SpanPause2, collectorTID)
 	c.sp.resumeTheWorld()
 
 	// --- EC selection (concurrent with mutators).
-	var vEC uint64
-	if c.lat != nil {
-		vEC = c.virtualNow()
-	}
+	vEC := c.VirtualCycles()
 	c.tm.rec.BeginSpan(telemetry.SpanECSelect, collectorTID)
 	c.selectEvacuationCandidates(cs)
 	c.tm.rec.EndSpan(telemetry.SpanECSelect, collectorTID)
-	if c.lat != nil {
-		c.lat.RecordPhase(latency.PhaseECSelect, vEC, c.virtualNow())
-	}
+	c.lat.RecordPhase(latency.PhaseECSelect, vEC, c.VirtualCycles())
 
 	// --- STW3: flip to R, relocate/heal all roots.
 	c.stopTheWorldTimed(telemetry.SpanPause3)
 	c.tm.rec.BeginSpan(telemetry.SpanPause3, collectorTID)
 	pause3 := c.beginPauseAccounting()
-	v3 := c.pauseStartClock()
+	v3 := c.VirtualCycles()
 	c.good.Store(uint64(heap.ColorRemapped))
 	c.phase.Store(uint32(PhaseRelocate))
 	c.forEachMutator(func(m *Mutator) {

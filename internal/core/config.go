@@ -148,13 +148,13 @@ type Config struct {
 	// Latency is the optional latency-attribution tracker (HDR pause and
 	// phase distributions, MMU, barrier slow-path profile, flight
 	// recorder). Nil disables it: each instrumentation site reduces to
-	// one predictable branch.
+	// one predictable branch. The tracker only reads the virtual clock;
+	// the clock advances the same with or without it.
 	Latency *latency.Tracker
 	// Signals is the optional unified per-cycle signal plane: at every
 	// cycle boundary the collector snapshots the locality, latency and
 	// heap signals into one immutable CycleSignals record. Nil disables
-	// it (one predictable branch at the cycle boundary plus one per
-	// allocation for the alloc-rate ledger).
+	// it (one predictable branch at the cycle boundary).
 	Signals *signals.Plane
 	// FaultInjector arms the fault-injection plane at the collector's
 	// injection points (relocation race, barrier slow path, safepoint

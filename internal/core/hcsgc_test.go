@@ -7,6 +7,7 @@ import (
 
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
+	"hcsgc/internal/signals"
 	"hcsgc/internal/simmem"
 )
 
@@ -81,6 +82,53 @@ func TestHotnessDisabledRecordsNothing(t *testing.T) {
 	})
 	if hot != 0 {
 		t.Fatalf("hot bytes = %d with HOTNESS off, want 0", hot)
+	}
+}
+
+// TestMarkEndMeasurements: the mark-end heap measurements are taken with
+// no telemetry sink or locality profiler attached. Segregation purity is
+// always measured. Hotmap density is measured only with hotness on: with
+// it off no hotmap is recorded, so the density keeps its -1 sentinel and
+// the signal plane derives no cold_frac from it.
+func TestMarkEndMeasurements(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		knobs Knobs
+	}{{"hotness-off", Knobs{}}, {"hotness-on", Knobs{Hotness: true}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			plane := signals.New(signals.Config{})
+			types := objmodel.NewRegistry()
+			c := MustNew(heap.New(heap.Config{MaxBytes: 128 << 20}, nil), types,
+				Config{Knobs: tc.knobs, Signals: plane})
+			node := types.Register("node", 2, []int{0})
+			m := c.NewMutator(4)
+			defer m.Close()
+			buildObjectArray(m, node, 500)
+			m.RequestGC()
+
+			cs := c.Stats().Cycles[0]
+			if cs.SegregationPurity < 0.5 || cs.SegregationPurity > 1 || cs.SegregatedPages == 0 {
+				t.Errorf("segregation purity = %v over %d pages, want a measurement in [0.5, 1]",
+					cs.SegregationPurity, cs.SegregatedPages)
+			}
+			rec, ok := plane.Latest()
+			if !ok {
+				t.Fatal("signal plane recorded no cycle")
+			}
+			coldFrac := false
+			for _, d := range rec.Derived {
+				coldFrac = coldFrac || d.Name == signals.SigColdFrac
+			}
+			if tc.knobs.Hotness {
+				if cs.HotmapDensity < 0 || !coldFrac {
+					t.Errorf("hotness on: density = %v, cold_frac emitted = %v; want a measurement",
+						cs.HotmapDensity, coldFrac)
+				}
+			} else if cs.HotmapDensity != -1 || coldFrac {
+				t.Errorf("hotness off: density = %v, cold_frac emitted = %v; want -1 and none",
+					cs.HotmapDensity, coldFrac)
+			}
+		})
 	}
 }
 

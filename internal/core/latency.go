@@ -6,9 +6,11 @@ import (
 	"hcsgc/internal/telemetry/latency"
 )
 
-// The collector's latency-attribution wiring. All hooks are one
-// predictable branch when no tracker is attached (c.lat == nil), matching
-// the telemetry/locality/faultinject discipline; the priced difference is
+// The collector's latency-attribution wiring. The virtual clock below is
+// collector state, maintained whether or not a tracker is attached; the
+// tracker only reads it. Every tracker hook is one predictable branch when
+// no tracker is attached (c.lat == nil), matching the
+// telemetry/locality/faultinject discipline; the priced difference is
 // BenchmarkLatencyOverhead.
 //
 // Time here is the virtual timeline in simulated cycles: the maximum
@@ -18,20 +20,9 @@ import (
 // through both regimes; the CAS-max keeps it monotone across concurrent
 // readers.
 
-// virtualNow returns the current virtual time. Zero when neither a
-// latency tracker nor a signal plane is attached (callers guard
-// themselves to skip the mutator walk).
-func (c *Collector) virtualNow() uint64 {
-	if c.lat == nil && c.sig == nil {
-		return 0
-	}
-	return c.VirtualCycles()
-}
-
-// VirtualCycles computes the current virtual time unconditionally (the
-// latency tracker's presence only gates the cheap internal fast path, not
-// the clock itself). Serving-workload harnesses use it as the global
-// request clock; note the cost is one walk over the attached mutators.
+// VirtualCycles returns the current virtual time. Serving-workload
+// harnesses use it as the global request clock; the cost is one walk over
+// the attached mutators.
 func (c *Collector) VirtualCycles() uint64 {
 	var maxMut uint64
 	c.mutMu.Lock()
@@ -54,8 +45,7 @@ func (c *Collector) VirtualCycles() uint64 {
 }
 
 // PauseCycles returns the accumulated STW pause cost on the virtual
-// timeline (only maintained while a latency tracker or signal plane is
-// attached).
+// timeline.
 func (c *Collector) PauseCycles() uint64 {
 	return c.pauseTotal.Load()
 }
@@ -67,25 +57,12 @@ func (c *Collector) StallCount() uint64 {
 	return c.stallCount.Load()
 }
 
-// pauseStartClock samples the virtual clock at a pause start (world
-// already stopped, so mutator ledgers are quiescent).
-//
-//hcsgc:stw-only
-func (c *Collector) pauseStartClock() uint64 {
-	if c.lat == nil && c.sig == nil {
-		return 0
-	}
-	return c.virtualNow()
-}
-
-// recordPauseLatency feeds one finished STW pause (0-based index) into
-// the tracker and advances the virtual clock past the pause cost.
+// recordPauseLatency advances the virtual clock past one finished STW
+// pause (0-based index) that started at virtual time startV, and feeds it
+// to the tracker.
 //
 //hcsgc:stw-only
 func (c *Collector) recordPauseLatency(i int, startV, cost uint64) {
-	if c.lat == nil && c.sig == nil {
-		return
-	}
 	c.pauseTotal.Add(cost)
 	c.lat.RecordPause(i, startV, cost)
 }
@@ -102,23 +79,19 @@ func (c *Collector) mutatorStallWeight() float64 {
 	return 1 / float64(n)
 }
 
-// recordLatencyCycle completes the cycle's flight record and hands it to
-// the tracker, then auto-dumps if the heap verifier found new violations
-// during this cycle. Runs under cycleMu. The completed record (with the
-// tracker's phase/barrier/MMU fields filled in) is returned for the
-// signal plane; it is also built when only a signal plane is attached, so
-// the CycleSignals record carries the pause and stall fields either way.
+// recordLatencyCycle builds the cycle's flight record and hands it to the
+// tracker, then auto-dumps if the heap verifier found new violations
+// during this cycle. Runs under cycleMu. The record (with the tracker's
+// phase/barrier/MMU fields filled in when one is attached) is returned for
+// the signal plane.
 func (c *Collector) recordLatencyCycle(cs *CycleStats, vStart uint64) latency.CycleRecord {
-	if c.lat == nil && c.sig == nil {
-		return latency.CycleRecord{}
-	}
 	stalls := c.stallCount.Load()
 	runs, violations := c.heap.Verifier().Counts()
 	rec := latency.CycleRecord{
 		Seq:               cs.Seq,
 		Trigger:           cs.Trigger,
 		VStart:            vStart,
-		VEnd:              c.virtualNow(),
+		VEnd:              c.VirtualCycles(),
 		Pause1:            cs.Pause1,
 		Pause2:            cs.Pause2,
 		Pause3:            cs.Pause3,

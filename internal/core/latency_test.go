@@ -224,39 +224,67 @@ func TestLatencyStallIntervals(t *testing.T) {
 	m.Close()
 }
 
+// clockEnv builds a collector for the virtual-clock tests, either with a
+// latency tracker attached or with no observability plane at all: the
+// clock is collector state, so it must advance the same way in both.
+// The tracker is nil in the untracked case.
+func clockEnv(t *testing.T, tracked bool, maxBytes uint64, cfg Config) (*Collector, *objmodel.Registry, *latency.Tracker) {
+	t.Helper()
+	if tracked {
+		c, types, tr, _, _ := latEnv(t, Knobs{}, maxBytes, cfg, latency.Config{})
+		return c, types, tr
+	}
+	types := objmodel.NewRegistry()
+	c, err := New(heap.New(heap.Config{MaxBytes: maxBytes}, nil), types, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, types, nil
+}
+
+// clockModes names the two clockEnv configurations.
+var clockModes = []struct {
+	name    string
+	tracked bool
+}{{"tracker", true}, {"no-planes", false}}
+
 // TestVirtualCyclesClock pins the per-mutator virtual clock the KV
 // serving workload measures request latency on: it starts at the
 // mutator's own ledger, advances with Work, and jumps forward by the STW
 // pause cost of a GC cycle (pauses stop every mutator, so they are
 // charged to whatever request is in flight).
 func TestVirtualCyclesClock(t *testing.T) {
-	c, types, _, _, _ := latEnv(t, Knobs{}, 128<<20, Config{}, latency.Config{})
-	node := types.Register("vnode", 2, []int{0})
-	m := c.NewMutator(1)
+	for _, mode := range clockModes {
+		t.Run(mode.name, func(t *testing.T) {
+			c, types, _ := clockEnv(t, mode.tracked, 128<<20, Config{})
+			node := types.Register("vnode", 2, []int{0})
+			m := c.NewMutator(1)
 
-	if got, want := m.VirtualCycles(), m.Cycles(); got != want {
-		t.Fatalf("fresh mutator VirtualCycles = %d, want Cycles() = %d", got, want)
-	}
-	before := m.VirtualCycles()
-	m.Work(1000)
-	if got := m.VirtualCycles(); got != before+1000 {
-		t.Fatalf("VirtualCycles after Work(1000) = %d, want %d", got, before+1000)
-	}
+			if got, want := m.VirtualCycles(), m.Cycles(); got != want {
+				t.Fatalf("fresh mutator VirtualCycles = %d, want Cycles() = %d", got, want)
+			}
+			before := m.VirtualCycles()
+			m.Work(1000)
+			if got := m.VirtualCycles(); got != before+1000 {
+				t.Fatalf("VirtualCycles after Work(1000) = %d, want %d", got, before+1000)
+			}
 
-	buildList(m, node, 500)
-	preGC := m.VirtualCycles()
-	m.RequestGC()
-	pauses := c.PauseCycles()
-	if pauses == 0 {
-		t.Fatal("a GC cycle must accrue STW pause cost")
-	}
-	if got := m.VirtualCycles(); got < preGC+pauses {
-		t.Fatalf("VirtualCycles after GC = %d, want >= %d (pre %d + pauses %d)",
-			got, preGC+pauses, preGC, pauses)
-	}
-	// The collector's global clock dominates every mutator's clock.
-	if global, own := c.VirtualCycles(), m.VirtualCycles(); global < own {
-		t.Fatalf("global clock %d behind mutator clock %d", global, own)
+			buildList(m, node, 500)
+			preGC := m.VirtualCycles()
+			m.RequestGC()
+			pauses := c.PauseCycles()
+			if pauses == 0 {
+				t.Fatal("a GC cycle must accrue STW pause cost")
+			}
+			if got := m.VirtualCycles(); got < preGC+pauses {
+				t.Fatalf("VirtualCycles after GC = %d, want >= %d (pre %d + pauses %d)",
+					got, preGC+pauses, preGC, pauses)
+			}
+			// The collector's global clock dominates every mutator's clock.
+			if global, own := c.VirtualCycles(), m.VirtualCycles(); global < own {
+				t.Fatalf("global clock %d behind mutator clock %d", global, own)
+			}
+		})
 	}
 }
 
@@ -265,44 +293,56 @@ func TestVirtualCyclesClock(t *testing.T) {
 // mutator's clock — the mechanism that keeps allocation stalls from
 // vanishing out of open-loop request latency.
 func TestVirtualCyclesChargesStalls(t *testing.T) {
-	// Heap small enough that garbage churn must stall into GC: 8 MB with
-	// a default 70% trigger.
-	c, types, tr, _, _ := latEnv(t, Knobs{}, 8<<20, Config{StallRetries: 64}, latency.Config{})
-	node := types.Register("snode", 2, []int{0})
-	m := c.NewMutator(2)
-	// A second mutator that keeps the virtual clock moving while m
-	// stalls (in a serving system, other server threads keep working).
-	w := c.NewMutator(1)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				w.Work(50)
-				w.Safepoint()
-			}
-		}
-	}()
+	for _, mode := range clockModes {
+		t.Run(mode.name, func(t *testing.T) {
+			// Heap small enough that garbage churn must stall into GC: 8 MB
+			// with a default 70% trigger.
+			c, types, tr := clockEnv(t, mode.tracked, 8<<20, Config{StallRetries: 64})
+			node := types.Register("snode", 2, []int{0})
+			m := c.NewMutator(2)
+			// A second mutator that keeps the virtual clock moving while m
+			// stalls (in a serving system, other server threads keep
+			// working).
+			w := c.NewMutator(1)
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						w.Work(50)
+						w.Safepoint()
+					}
+				}
+			}()
 
-	buildList(m, node, 1000)
-	for i := 0; i < 40_000 && m.Stalls == 0; i++ {
-		m.AllocWordArray(127)
-	}
-	close(stop)
-	<-done
-	if m.Stalls == 0 {
-		t.Skip("no allocation stall triggered; heap sizing changed")
-	}
-	r := tr.Report()
-	if r.Stall.Count == 0 {
-		t.Fatal("tracker recorded no stalls despite Mutator.Stalls > 0")
-	}
-	if lower := m.Cycles() + c.PauseCycles(); m.VirtualCycles() <= lower && r.Stall.Max > 0 {
-		t.Fatalf("stalls left no trace on VirtualCycles: %d <= ledger+pauses %d (stall max %v)",
-			m.VirtualCycles(), lower, r.Stall.Max)
+			buildList(m, node, 1000)
+			for i := 0; i < 40_000 && m.Stalls == 0; i++ {
+				m.AllocWordArray(127)
+			}
+			close(stop)
+			<-done
+			if m.Stalls == 0 {
+				t.Skip("no allocation stall triggered; heap sizing changed")
+			}
+			// Whether the stall spanned any virtual time is the tracker's
+			// stall distribution when one is attached; without one, the
+			// worker mutator's progress during the stall provides it.
+			spanned := true
+			if tr != nil {
+				r := tr.Report()
+				if r.Stall.Count == 0 {
+					t.Fatal("tracker recorded no stalls despite Mutator.Stalls > 0")
+				}
+				spanned = r.Stall.Max > 0
+			}
+			if lower := m.Cycles() + c.PauseCycles(); m.VirtualCycles() <= lower && spanned {
+				t.Fatalf("stalls left no trace on VirtualCycles: %d <= ledger+pauses %d",
+					m.VirtualCycles(), lower)
+			}
+		})
 	}
 }

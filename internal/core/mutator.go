@@ -56,13 +56,12 @@ type Mutator struct {
 	// VirtualCycles adds separately). While a mutator stalls its own
 	// ledger is frozen but the world moves on; this counter carries that
 	// elapsed virtual time so the stall is visible on the mutator's
-	// clock. Only maintained while a latency tracker is attached.
+	// clock.
 	stallVirtual atomic.Uint64
 
-	// allocBytes is this mutator's cumulative allocation volume; only
-	// maintained while a signal plane is attached (it feeds the per-cycle
-	// alloc-rate signal), so the nil-plane cost stays one predictable
-	// branch per allocation.
+	// allocBytes is this mutator's cumulative allocation volume (it feeds
+	// the signal plane's per-cycle alloc-rate signal and the overload
+	// plane's serving-window allocation check).
 	allocBytes atomic.Uint64
 
 	// tok is this mutator's identity in the safepoint protocol; the STW
@@ -122,10 +121,9 @@ func (m *Mutator) SetName(name string) {
 }
 
 // StallVirtualCycles returns the cumulative virtual-cycle duration of
-// this mutator's allocation stalls, net of STW pause cost (only
-// maintained while a latency tracker is attached). Serving harnesses
-// delta it across a request to attribute the request's own stall
-// exposure.
+// this mutator's allocation stalls, net of STW pause cost. Serving
+// harnesses delta it across a request to attribute the request's own
+// stall exposure.
 func (m *Mutator) StallVirtualCycles() uint64 {
 	return m.stallVirtual.Load()
 }
@@ -194,9 +192,7 @@ func (m *Mutator) Cycles() uint64 {
 // (during which its ledger is frozen while other mutators and the
 // collector make progress). Open-loop serving harnesses measure request
 // latency against this clock, so GC pauses and allocation stalls are
-// charged to in-flight requests instead of vanishing. The pause and
-// stall components are only maintained while a latency tracker is
-// attached; without one this degrades to Cycles().
+// charged to in-flight requests instead of vanishing.
 func (m *Mutator) VirtualCycles() uint64 {
 	return m.Cycles() + m.c.pauseTotal.Load() + m.stallVirtual.Load()
 }
@@ -206,9 +202,8 @@ func (m *Mutator) VirtualCycles() uint64 {
 func (m *Mutator) Core() *simmem.Core { return m.core }
 
 // AllocatedBytes returns this mutator's cumulative allocation volume.
-// Only maintained while a signal plane is attached (see allocBytes);
-// without one it reads 0. Overload harnesses delta it across a request
-// to prove shed requests perform zero heap allocations.
+// Overload harnesses delta it across a request to prove shed requests
+// perform zero heap allocations.
 func (m *Mutator) AllocatedBytes() uint64 { return m.allocBytes.Load() }
 
 // SetAllocBudget arms a per-request allocation budget on this mutator:
@@ -359,17 +354,14 @@ func (m *Mutator) allocWords(sizeWords int, typeID uint16) (heap.Ref, error) {
 	return heap.MakeRef(addr, m.c.Good()), nil
 }
 
-// noteAlloc charges the fixed allocation cost and feeds the signal
-// plane's allocation-rate ledger. Split out of allocWords so the
-// accounting tail of the allocation fast path is provably
-// allocation-free.
+// noteAlloc charges the fixed allocation cost and adds to the mutator's
+// allocation ledger. Split out of allocWords so the accounting tail of
+// the allocation fast path is provably allocation-free.
 //
 //hcsgc:alloc-free
 func (m *Mutator) noteAlloc(size uint64) {
 	m.extra.Add(m.c.cfg.Costs.Alloc)
-	if m.c.sig != nil {
-		m.allocBytes.Add(size)
-	}
+	m.allocBytes.Add(size)
 }
 
 // allocSmall bump-allocates from the TLAB, refilling on demand.
@@ -444,28 +436,23 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 		m.c.stallCount.Add(1)
 		m.c.tm.allocStalls.Inc()
 		prev := m.c.cycles.Load()
-		var stallStart, pauseBefore uint64
-		if m.c.lat != nil {
-			stallStart = m.c.virtualNow()
-			pauseBefore = m.c.pauseTotal.Load()
-		}
+		stallStart := m.c.VirtualCycles()
+		pauseBefore := m.c.pauseTotal.Load()
 		m.c.sp.beginBlocked(m.tok)
 		if backoff := m.c.cfg.StallBackoff; backoff > 0 && attempt > 1 {
 			time.Sleep(time.Duration(attempt-1) * backoff)
 		}
 		m.c.collectIfDue(prev, "allocation stall")
 		m.c.sp.endBlocked(m.tok)
-		if m.c.lat != nil {
-			stallEnd := m.c.virtualNow()
-			// Charge the stall's elapsed virtual time to this mutator's
-			// VirtualCycles clock, net of the pause cost accrued inside
-			// the stall (the clock adds pauseTotal separately).
-			pauseDelta := m.c.pauseTotal.Load() - pauseBefore
-			if d := stallEnd - stallStart; d > pauseDelta {
-				m.stallVirtual.Add(d - pauseDelta)
-			}
-			m.c.lat.RecordStall(stallStart, stallEnd, m.c.mutatorStallWeight())
+		stallEnd := m.c.VirtualCycles()
+		// Charge the stall's elapsed virtual time to this mutator's
+		// VirtualCycles clock, net of the pause cost accrued inside the
+		// stall (the clock adds pauseTotal separately).
+		pauseDelta := m.c.pauseTotal.Load() - pauseBefore
+		if d := stallEnd - stallStart; d > pauseDelta {
+			m.stallVirtual.Add(d - pauseDelta)
 		}
+		m.c.lat.RecordStall(stallStart, stallEnd, m.c.mutatorStallWeight())
 	}
 }
 

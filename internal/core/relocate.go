@@ -206,12 +206,10 @@ func (w *gcWorker) drainLoop(cs *CycleStats) {
 	tid := uint32(2 + w.id)
 	c.tm.rec.BeginSpan(telemetry.SpanRelocate, tid)
 	defer c.tm.rec.EndSpan(telemetry.SpanRelocate, tid)
-	if c.lat != nil {
-		vStart := c.virtualNow()
-		defer func() {
-			c.lat.RecordPhase(latency.PhaseRelocDrain, vStart, c.virtualNow())
-		}()
-	}
+	vStart := c.VirtualCycles()
+	defer func() {
+		c.lat.RecordPhase(latency.PhaseRelocDrain, vStart, c.VirtualCycles())
+	}()
 	for {
 		i := c.ecCursor.Add(1) - 1
 		if int(i) >= len(c.ecPages) {

@@ -25,15 +25,14 @@ type CycleStats struct {
 	// HeapUsedBefore/After are occupancy percentages around the cycle.
 	HeapUsedBefore, HeapUsedAfter float64
 	// SegregationPurity is the live-bytes-weighted hot/cold segregation
-	// purity over hot-trackable pages at mark end (-1 when not measured:
-	// neither telemetry nor the locality profiler was attached).
+	// purity over hot-trackable pages at mark end.
 	SegregationPurity float64
 	// SegregatedPages is the number of pages the purity was computed over.
 	SegregatedPages int
 	// HotmapDensity is hot bytes over live bytes across hot-trackable
-	// pages at mark end (-1 when not measured: neither telemetry nor the
-	// signal plane was attached, or hotness is off). The signal plane
-	// derives its cold_frac signal as 1 - HotmapDensity.
+	// pages at mark end (-1 when not measured: hotness is off, or no
+	// hot-trackable page held live data). The signal plane derives its
+	// cold_frac signal as 1 - HotmapDensity.
 	HotmapDensity float64
 }
 

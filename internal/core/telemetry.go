@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"hcsgc/internal/heap"
 	"hcsgc/internal/telemetry"
 )
 
@@ -13,7 +12,7 @@ import (
 // When telemetry is disabled every handle is nil and `enabled` is false:
 // each instrumentation site then costs one predictable branch (the nil
 // check inside the telemetry method, or the `enabled` guard for sites
-// that would otherwise do real work like walking pages).
+// that would otherwise do real work like reading the wall clock).
 type colTelemetry struct {
 	enabled bool
 	rec     *telemetry.Recorder
@@ -132,51 +131,26 @@ func (c *Collector) WatchdogReports() uint64 {
 	return c.watchdogFired.Load()
 }
 
-// recordMarkEnd publishes mark-end observations: marked live bytes and
-// the hotmap density over hot-trackable pages subject to this mark. Runs
-// inside STW2 (the page set is frozen) when telemetry or the signal
-// plane wants the density (the plane derives cold_frac from it).
+// recordMarkEnd measures the heap at mark end, inside STW2 while the page
+// set is frozen and the hotmap is fresh, in one walk over the
+// hot-trackable pages subject to this mark: the segregation purity (for
+// the locality profiler and the flight record) and, with hotness on, the
+// hotmap density (the signal plane derives cold_frac from it). With
+// hotness off no hotmap is recorded, so the density keeps its -1
+// "unmeasured" sentinel.
 //
 //hcsgc:stw-only
 func (c *Collector) recordMarkEnd(cs *CycleStats) {
-	if !c.tm.enabled && c.sig == nil {
-		return
-	}
-	startSeq := c.startSeq.Load()
-	var hot, live uint64
-	c.heap.LivePages(func(p *heap.Page) {
-		if p.Seq > startSeq || !hotTrackable(p) {
-			return
-		}
-		hot += p.HotBytes()
-		live += p.LiveBytes()
-	})
+	seg := c.heap.SegregationStats(c.startSeq.Load())
+	cs.SegregationPurity = seg.Purity()
+	cs.SegregatedPages = seg.Pages
 	density := 0.0
-	if live > 0 {
-		density = float64(hot) / float64(live)
-		// Only a real measurement updates the stats record: with hotness
-		// off no page is hot-trackable and the -1 sentinel must survive
-		// so the signal plane reports cold_frac as unmeasured.
+	if c.cfg.Knobs.Hotness && seg.LiveBytes > 0 {
+		density = float64(seg.HotBytes) / float64(seg.LiveBytes)
 		cs.HotmapDensity = density
 	}
 	c.tm.hotmapDensity.Set(density)
 	c.tm.markedBytes.Set(float64(cs.MarkedBytes))
-}
-
-// recordSegregation computes the hot/cold segregation purity at mark end
-// (inside STW2, while the page set is frozen and the hotmap is fresh) for
-// the locality profiler and the per-cycle stats. Skipped — one predictable
-// branch — when neither telemetry nor the locality profiler is attached.
-//
-//hcsgc:stw-only
-func (c *Collector) recordSegregation(cs *CycleStats) {
-	if !c.tm.enabled && c.cfg.Locality == nil {
-		cs.SegregationPurity = -1
-		return
-	}
-	seg := c.heap.SegregationStats(c.startSeq.Load())
-	cs.SegregationPurity = seg.Purity()
-	cs.SegregatedPages = seg.Pages
 }
 
 // recordCycleEnd publishes per-cycle counters after stats are appended.

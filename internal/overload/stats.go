@@ -29,9 +29,8 @@ type Stats struct {
 	emerg     atomic.Uint64
 	spanV     atomic.Uint64
 	// serveAllocBytes is the heap allocation volume performed by serving
-	// threads inside the serving window (only measured while a signal
-	// plane is attached). The zero-allocations-after-shed regression test
-	// pins it to 0 under a forced-shed schedule.
+	// threads inside the serving window. The zero-allocations-after-shed
+	// regression test pins it to 0 under a forced-shed schedule.
 	serveAllocBytes atomic.Uint64
 
 	// success holds successful-request latencies (enqueue to final
@@ -181,7 +180,7 @@ func (st *Stats) AddServeAllocBytes(v uint64) {
 }
 
 // ServeAllocBytes returns the accumulated serving-window allocation
-// volume (0 unless a signal plane was attached).
+// volume.
 func (st *Stats) ServeAllocBytes() uint64 {
 	if st == nil {
 		return 0

@@ -56,9 +56,6 @@ type Thresholds struct {
 	// Default 85 (the 70% trigger plus headroom: the cycle did not
 	// reclaim back below the trigger region).
 	MaxHeapUsedPct float64
-	// MinSegPurity flags "purity_drop" when segregation purity was
-	// measured (>= 0) and fell below it. Default 0.5.
-	MinSegPurity float64
 }
 
 func (c Config) withDefaults() Config {
@@ -80,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if t.MaxHeapUsedPct == 0 {
 		t.MaxHeapUsedPct = 85
-	}
-	if t.MinSegPurity == 0 {
-		t.MinSegPurity = 0.5
 	}
 	return c
 }
@@ -197,14 +191,12 @@ const (
 	FlagStallSpike     = "stall_spike"
 	FlagLongPause      = "long_pause"
 	FlagHeapPressure   = "heap_pressure"
-	FlagPurityDrop     = "purity_drop"
 )
 
 // FlagNames is the full flag set (the label set of
 // hcsgc_signal_flags_total).
 var FlagNames = []string{
-	FlagLowUtilization, FlagStallSpike, FlagLongPause,
-	FlagHeapPressure, FlagPurityDrop,
+	FlagLowUtilization, FlagStallSpike, FlagLongPause, FlagHeapPressure,
 }
 
 type ewmaState struct {
@@ -310,17 +302,6 @@ func (p *Plane) flags(rec *CycleSignals, raw map[string]float64) []string {
 	}
 	if th.MaxHeapUsedPct > 0 && rec.Heap.UsedAfterPct >= th.MaxHeapUsedPct {
 		out = append(out, FlagHeapPressure)
-	}
-	if th.MinSegPurity > 0 {
-		if purity, ok := raw[SigSegPurity]; ok && purity >= 0 && purity < th.MinSegPurity {
-			out = append(out, FlagPurityDrop)
-		} else if !ok && rec.Flight.SegregationPurity >= 0 &&
-			rec.Flight.SegregationPurity < th.MinSegPurity {
-			// Purity is measured at mark end even without a locality
-			// profiler (telemetry computes it); use the flight record's
-			// copy so the flag works in both configurations.
-			out = append(out, FlagPurityDrop)
-		}
 	}
 	return out
 }

@@ -153,7 +153,6 @@ func TestPlaneFlags(t *testing.T) {
 	bad := synthRec(1, 0.1, 5) // low utilization, stall spike
 	bad.Flight.Pause2 = 300_000
 	bad.Heap.UsedAfterPct = 92
-	bad.Locality.SegPurity = 0.2
 	p.OnCycle(bad)
 	latest, _ := p.Latest()
 	got := strings.Join(latest.Flags, ",")
@@ -168,26 +167,6 @@ func TestPlaneFlags(t *testing.T) {
 	latest2, _ := p2.Latest()
 	if len(latest2.Flags) != 0 {
 		t.Fatalf("clean record raised flags %v", latest2.Flags)
-	}
-}
-
-// TestPlanePurityDropFallsBackToFlight: without a locality profiler the
-// purity flag reads the flight record's mark-end measurement.
-func TestPlanePurityDropFallsBackToFlight(t *testing.T) {
-	p := New(Config{})
-	rec := synthRec(1, 0.9, 0)
-	rec.Locality = LocalitySignals{}
-	rec.Flight.SegregationPurity = 0.1
-	p.OnCycle(rec)
-	latest, _ := p.Latest()
-	found := false
-	for _, f := range latest.Flags {
-		if f == FlagPurityDrop {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("purity_drop not raised from flight record; flags = %v", latest.Flags)
 	}
 }
 

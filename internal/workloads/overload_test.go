@@ -50,13 +50,18 @@ func TestKVForcedShedTouchesNoHeap(t *testing.T) {
 	}
 
 	// Control: the identical run without forced sheds must show the
-	// serving window allocating (SETs, fills) — the counter is live.
-	ctl, ostCtl := kvOverloadCfg(42)
-	if _, err := w.Run(ctl); err != nil {
-		t.Fatal(err)
-	}
-	if ostCtl.ServeAllocBytes() == 0 {
-		t.Fatal("control run recorded zero serving allocations; the measurement is dead")
+	// serving window allocating (SETs, fills) — the counter is live, with
+	// the signal plane attached or not.
+	for _, disableSignals := range []bool{false, true} {
+		ctl, ostCtl := kvOverloadCfg(42)
+		ctl.DisableSignals = disableSignals
+		if _, err := w.Run(ctl); err != nil {
+			t.Fatal(err)
+		}
+		if ostCtl.ServeAllocBytes() == 0 {
+			t.Fatalf("control run (DisableSignals=%v) recorded zero serving allocations; the measurement is dead",
+				disableSignals)
+		}
 	}
 }
 

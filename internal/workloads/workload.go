@@ -56,14 +56,16 @@ type RunConfig struct {
 	// the handle and reads the report after the run.
 	Latency *hcsgc.LatencyTracker
 	// DisableLatency turns the latency-attribution plane off for the
-	// run (overhead baselines).
+	// run (overhead baselines). It changes host cost only: the virtual
+	// clock is kept the same way with or without the plane.
 	DisableLatency bool
 	// Signals overrides the run's unified signal plane (nil = the
 	// runtime builds a default one; the plane is always-on). The caller
 	// keeps the handle and reads the snapshot after the run.
 	Signals *hcsgc.SignalPlane
 	// DisableSignals turns the signal plane off for the run (overhead
-	// baselines).
+	// baselines). It changes host cost only: the virtual clock and the
+	// allocation ledger are kept the same way with or without the plane.
 	DisableSignals bool
 	// DisableContention has no effect. It is kept only so that callers
 	// which still set it keep compiling.
